@@ -7,7 +7,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "coverage/Uniqueness.h"
-#include "fuzzing/Campaign.h"
 #include "jvm/ClassPath.h"
 #include "mcmc/McmcSelector.h"
 #include "mutation/Engine.h"
@@ -154,24 +153,6 @@ void BM_EnvSetupOverlay(benchmark::State &State) {
   State.SetComplexityN(State.range(0));
 }
 BENCHMARK(BM_EnvSetupOverlay)->Range(8, 4096)->Complexity();
-
-/// End-to-end campaign throughput by worker count. On multi-core hosts
-/// the coverage executions overlap; results are bit-identical at every
-/// job count, so this isolates the pipeline's wall-clock effect.
-void BM_CampaignJobsScaling(benchmark::State &State) {
-  CampaignConfig Config;
-  Config.Algo = FuzzAlgorithm::ClassfuzzStBr;
-  Config.Iterations = 120;
-  Config.NumSeeds = 10;
-  Config.RngSeed = 17;
-  Config.Jobs = static_cast<size_t>(State.range(0));
-  for (auto _ : State) {
-    CampaignResult R = runCampaign(Config);
-    benchmark::DoNotOptimize(R.numGenerated());
-  }
-}
-BENCHMARK(BM_CampaignJobsScaling)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

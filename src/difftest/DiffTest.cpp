@@ -36,8 +36,15 @@ std::string DiffOutcome::encodedString() const {
   return Out;
 }
 
-void DiffOutcome::commitFlightEvents() const {
-  telemetry::FlightRecorder &FR = telemetry::flightRecorder();
+void DiffOutcome::commit() const {
+  namespace tm = classfuzz::telemetry;
+  if (tm::enabled() && tm::eventSink())
+    tm::EventBuilder("difftest")
+        .field("class", ClassName)
+        .field("encoded", encodedString())
+        .field("discrepancy", isDiscrepancy())
+        .emit();
+  tm::FlightRecorder &FR = tm::flightRecorder();
   if (!FR.enabled())
     return;
   for (const DeferredFlightEvent &E : FlightEvents)
@@ -157,11 +164,11 @@ DiffOutcome DifferentialTester::runProfiles(const std::string &Name,
   if (Telemetry)
     Timer.emplace(WallNs, "difftest");
 
-  // Flight events are deferred into the outcome instead of recorded
-  // here: runProfiles executes on reducer probe lanes and campaign
-  // workers, and direct records from those threads would interleave in
-  // the global sequence stream nondeterministically. The caller replays
-  // them via commitFlightEvents() at its deterministic commit point.
+  // Flight events and the "difftest" trace event are deferred into the
+  // outcome instead of written here: runProfiles executes on reducer
+  // probe lanes and difftest workers, and direct writes from those
+  // threads would interleave nondeterministically. The caller publishes
+  // them via commit() at its deterministic commit point.
   const bool Flight = tm::flightRecorder().enabled();
   // Hashed once; flight events identify the class without storing the
   // (variable-length) name in a fixed-size ring entry.
@@ -173,6 +180,7 @@ DiffOutcome DifferentialTester::runProfiles(const std::string &Name,
   }
 
   DiffOutcome Out;
+  Out.ClassName = Name;
   for (size_t I = 0; I != Profiles.size(); ++I) {
     CoverageRecorder Recorder;
     CoverageRecorder *Cov = CollectCoverage ? &Recorder : nullptr;
@@ -227,12 +235,6 @@ DiffOutcome DifferentialTester::runProfiles(const std::string &Name,
     tm::metrics().counter("difftest.classes").inc();
     if (Out.isDiscrepancy())
       tm::metrics().counter("difftest.discrepancies").inc();
-    if (tm::eventSink())
-      tm::EventBuilder("difftest")
-          .field("class", Name)
-          .field("encoded", Out.encodedString())
-          .field("discrepancy", Out.isDiscrepancy())
-          .emit();
   }
   if (Flight) {
     uint64_t Packed = 0;

@@ -53,7 +53,7 @@ struct ProfileDesc {
 /// A flight-recorder event observed during a differential run but not
 /// yet recorded. runProfiles defers its events into the DiffOutcome
 /// instead of writing the global sequence stream from whatever thread it
-/// runs on; the caller replays them (commitFlightEvents) at its own
+/// runs on; the caller replays them (DiffOutcome::commit) at its own
 /// deterministic commit point, so armed-recorder dumps are byte-identical
 /// across --jobs/--reduce-jobs values.
 struct DeferredFlightEvent {
@@ -69,6 +69,7 @@ enum class EnvironmentMode {
 
 /// The outcome of one classfile across all profiles.
 struct DiffOutcome {
+  std::string ClassName;         ///< The class under test.
   std::vector<int> Encoded;      ///< One 0..4 code per JVM.
   std::vector<JvmResult> Results; ///< Full per-JVM results.
   /// Per-profile coverage tracefiles, filled only when the tester was
@@ -93,10 +94,11 @@ struct DiffOutcome {
   bool anyInternalError() const;
   /// The sequence as a string, e.g. "00012" (the Figure 3 encoding).
   std::string encodedString() const;
-  /// Replays the deferred flight events into the global recorder, in
-  /// observation order. Call from a deterministic commit point (one
-  /// caller thread, commit order); no-op when nothing was deferred.
-  void commitFlightEvents() const;
+  /// Publishes what the run deferred: emits the "difftest" trace event
+  /// (when a sink is installed) and replays the flight events into the
+  /// global recorder, in observation order. Call from a deterministic
+  /// commit point (one caller thread, commit order).
+  void commit() const;
 };
 
 /// Differential tester over a fixed set of profiles and a corpus.
@@ -141,12 +143,12 @@ public:
   /// Thread-safe: the per-profile environments are frozen at
   /// construction, and each call works on an O(1) copy-on-write
   /// ClassPath copy plus a call-local Vm. The reducer's parallel probe
-  /// lanes (`--reduce-jobs`) rely on this to invoke one tester
-  /// concurrently from many workers. Flight-recorder events are never
-  /// written from inside the call: they are deferred into the returned
-  /// DiffOutcome, and only the caller's commitFlightEvents() -- invoked
-  /// at a deterministic commit point -- touches the global sequence
-  /// stream.
+  /// lanes (`--reduce-jobs`) and the CLI's difftest fan-out (`--jobs`)
+  /// rely on this to invoke one tester concurrently from many workers.
+  /// Flight-recorder and trace events are never written from inside the
+  /// call: they are deferred into the returned DiffOutcome, and only the
+  /// caller's commit() -- invoked at a deterministic commit point --
+  /// touches the global streams.
   DiffOutcome testClass(const std::string &Name) const;
 
   /// Runs a class not present in the corpus by overlaying its bytes.

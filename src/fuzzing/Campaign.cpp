@@ -9,16 +9,13 @@
 #include "mutation/Engine.h"
 #include "runtime/RuntimeLib.h"
 #include "support/Hashing.h"
-#include "support/ThreadPool.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Telemetry.h"
 #include "telemetry/TimeSeries.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -199,34 +196,29 @@ uint64_t packIterationOutcome(MutationResult MR, bool Produced,
 
 /// The campaign's telemetry handles, resolved once per process so the
 /// per-iteration hot path never touches the registry mutex. All
-/// recording is observation-only (see DESIGN.md §8): no Rng access, no
-/// interaction with speculation commit order.
+/// recording is observation-only (see DESIGN.md §8): no Rng access.
 struct CampaignTelemetry {
   telemetry::Counter &Accepted;
   telemetry::Counter &Rejected;
   telemetry::Counter &Inapplicable;
   telemetry::Counter &NoChange;
   telemetry::Counter &AssemblyFailed;
-  telemetry::Counter &SpecHits;
-  telemetry::Counter &SpecRollbacks;
-  telemetry::Counter &SpecCancelled;
-  /// δ-diversity pipeline counters; all incremented at the in-order
-  /// commit stage only, so their values are identical across --jobs.
+  /// δ-diversity pipeline counters; all incremented at the commit
+  /// stage.
   telemetry::Counter &DdBatches;
   telemetry::Counter &DdDiscrepancies;
   telemetry::Counter &DdNovelTuple;
   telemetry::Counter &DdNovelOutcome;
   telemetry::Counter &DdNovelCoverage;
-  /// Tier-diff pipeline counters; commit stage only, --jobs-invariant.
+  /// Tier-diff pipeline counters; commit stage only.
   telemetry::Counter &TierBatches;
   telemetry::Counter &TierDisagreements;
-  /// Seed-scheduler counters; commit stage only, --jobs-invariant
-  /// (the sched_epochs counter and sched_* gauges are published by the
-  /// scheduler itself at rebuild time, also commit-stage).
+  /// Seed-scheduler counters; commit stage only (the sched_epochs
+  /// counter and sched_* gauges are published by the scheduler itself
+  /// at rebuild time, also commit-stage).
   telemetry::Counter &SchedDraws;
   telemetry::Counter &SchedRareDraws;
-  /// Analyzer pre-filter counters (--prefilter); commit stage only,
-  /// --jobs-invariant (predictions run on the driver thread).
+  /// Analyzer pre-filter counters (--prefilter); commit stage only.
   telemetry::Counter &PrefilterSkipped;
   telemetry::Counter &PrefilterPassed;
   telemetry::Counter &PrefilterAudited;
@@ -243,9 +235,6 @@ struct CampaignTelemetry {
         M.counter("campaign.inapplicable"),
         M.counter("campaign.nochange"),
         M.counter("campaign.assembly_failed"),
-        M.counter("campaign.speculation.hits"),
-        M.counter("campaign.speculation.rollbacks"),
-        M.counter("campaign.speculation.cancelled"),
         M.counter("campaign.dd_batches"),
         M.counter("campaign.dd_discrepancies"),
         M.counter("campaign.dd_novel_tuple"),
@@ -275,7 +264,7 @@ struct RefRun {
   int Phase = -1;
   /// Tier-diff mode: the (interpreter, baseline) two-code outcome plus
   /// the baseline code cache's deferred jit.* stats, both committed at
-  /// the in-order commit stage. Empty/zero otherwise.
+  /// the commit stage. Empty/zero otherwise.
   std::string TierEncoded;
   JitStats TierJit;
 };
@@ -301,34 +290,6 @@ struct DdRun {
         return true;
     return false;
   }
-};
-
-/// One speculated-but-uncommitted iteration of the parallel pipeline.
-/// Everything the commit stage needs to either finalize the iteration or
-/// rewind the campaign state when the presumed-rejection speculation
-/// turns out wrong.
-struct PendingIteration {
-  /// The pool entry this iteration mutated (drawn by the scheduler at
-  /// speculation time; the commit stage charges the draw counters from
-  /// it so they stay Jobs-invariant).
-  size_t PoolIndex = 0;
-  size_t MutatorIndex = 0;
-  MutationResult MutResult = MutationResult::Inapplicable;
-  bool Produced = false;
-  GeneratedClass G; ///< Valid when Produced (Trace filled at commit).
-  std::future<RefRun> Trace; ///< Valid when Produced (classic modes).
-  std::future<DdRun> Dd;     ///< Valid when Produced (δ modes).
-  std::shared_ptr<std::atomic<bool>> Cancelled; ///< Worker skip flag.
-  Rng RngAfter; ///< Driver RNG state after this iteration's draws.
-  /// Selector state before this iteration's presumed-rejection
-  /// recordOutcome (MCMC algorithms only).
-  std::optional<McmcSelector> SelectorBefore;
-  /// Pre-filter verdict, decided on the driver at speculation time
-  /// (--prefilter). A skipped iteration ships no execution unless it is
-  /// in the audit sample; the commit stage charges the counters.
-  bool PrefilterSkip = false;
-  bool PrefilterAudited = false;
-  int PredictedPhase = -1; ///< 1 or 2 when PrefilterSkip.
 };
 
 } // namespace
@@ -415,9 +376,8 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   // skip, so randfuzz (Coverage off) ignores the flag.
   const bool PrefilterOn = Config.Prefilter && Coverage;
   // Audit membership is a pure function of the mutant bytes (no RNG, no
-  // iteration index), so the set of audited skips -- and therefore the
-  // mispredict oracle -- is identical across --jobs values, and the
-  // committed trajectory is identical across audit fractions.
+  // iteration index), so the committed trajectory is identical across
+  // audit fractions.
   const uint64_t AuditThreshold = static_cast<uint64_t>(
       std::min(1.0, std::max(0.0, Config.PrefilterAudit)) * 1000000.0);
   auto inAuditSample = [&](const Bytes &Data) {
@@ -428,9 +388,6 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   auto phaseDepth = [](int Phase) { return Phase == 0 ? 5 : Phase; };
   /// Deep = survived loading and linking.
   auto isDeepPhase = [](int Phase) { return Phase == 0 || Phase >= 3; };
-  // Workers only overlap coverage executions; algorithms that collect no
-  // coverage (randfuzz) have nothing to offload.
-  const size_t Jobs = Coverage ? std::max<size_t>(1, Config.Jobs) : 1;
 
   // δ-diversity batch state: the paper's five profiles plus one frozen
   // environment per profile (each its own runtime-library version, the
@@ -466,10 +423,10 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
 
   // Tier-diff axis (--tier-diff): the reference policy pinned to its
   // two fast tiers. Needs an execution stage to ride, so randfuzz
-  // (Coverage off) ignores the flag. JitTelemetry is deferred: the
-  // baseline engines run on workers whose count varies with Jobs, so
-  // each run's JitStats travel with it and publish at the in-order
-  // commit stage instead of at engine teardown.
+  // (Coverage off) ignores the flag. JitTelemetry is deferred: each
+  // run's JitStats travel with it and publish at the commit stage
+  // instead of at engine teardown, so an audited pre-filter run (whose
+  // result is not committed) publishes none.
   const bool TierDiff = Config.TierDiff && Coverage;
   JvmPolicy TierInterp = Config.ReferencePolicy;
   JvmPolicy TierBase = Config.ReferencePolicy;
@@ -482,8 +439,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
 
   /// Runs \p Name on the tier pair over \p Env, appending the two
   /// encoded phases and collecting the baseline engine's deferred jit
-  /// stats. Reads only frozen / call-local state, so workers may run it
-  /// concurrently.
+  /// stats.
   auto tierRunInto = [&](const std::string &Name, const ClassPath &Env,
                          std::string &Encoded, JitStats &Jit) {
     {
@@ -511,12 +467,13 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     return Run;
   };
 
-  /// Runs \p Name on every profile with coverage on, building the
-  /// δ-diversity batch observation. \p Envs must already contain the
-  /// mutant overlay, one ClassPath per profile; reads only frozen /
-  /// call-local state, so workers may run it concurrently.
-  auto ddRunOver = [&](const std::string &Name,
-                       const std::vector<ClassPath> &Envs) -> DdRun {
+  /// Runs \p Name (bytes \p Data) on every profile with coverage on,
+  /// building the δ-diversity batch observation. Each profile sees an
+  /// O(1) COW overlay of its environment.
+  auto ddRunOf = [&](const std::string &Name, const Bytes &Data) -> DdRun {
+    std::vector<ClassPath> Envs = DdEnvs;
+    for (ClassPath &E : Envs)
+      E.add(Name, Data);
     DdRun Run;
     Run.Obs.reserve(DdPolicies.size());
     Run.Encoded.reserve(DdPolicies.size());
@@ -541,15 +498,6 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     return Run;
   };
 
-  /// Driver-side convenience: overlay \p Data onto every profile
-  /// environment (O(1) COW copies) and run the batch.
-  auto ddRunOf = [&](const std::string &Name, const Bytes &Data) -> DdRun {
-    std::vector<ClassPath> Envs = DdEnvs;
-    for (ClassPath &E : Envs)
-      E.add(Name, Data);
-    return ddRunOver(Name, Envs);
-  };
-
   // The frontier.mutator_phase grid's column count (Frontier.cpp) must
   // track the phase encoding.
   static_assert(NumPhaseCodes == 5,
@@ -559,20 +507,18 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
 
   // The seed scheduler: picks the pool entry each iteration mutates.
   // It owns its hit-count table (independent of --frontier) and is fed
-  // only at deterministic driver-side points -- seed registration
-  // below, then the in-order commit stage -- with rebuilds restricted
-  // to commits that discard in-flight speculation, so every pick and
-  // every campaign.sched_* value is identical across Jobs values.
-  // Randfuzz collects no coverage to learn from and degrades to the
-  // uniform policy (the CLI rejects rare/cluster there up front).
+  // at seed registration below, then at every commit, with rebuilds
+  // only at accepted commits (commitProduced). Randfuzz collects no
+  // coverage to learn from and degrades to the uniform policy (the CLI
+  // rejects rare/cluster there up front).
   SeedScheduler::Options SchedOpts;
   SchedOpts.Policy = Coverage ? Config.SeedSched : SeedSchedPolicy::Uniform;
   SchedOpts.RareThreshold = Config.RareBranchThreshold;
   SeedScheduler Sched(SchedOpts);
 
-  /// Commit-stage draw accounting: one per committed iteration, charged
-  /// against the scheduler state the entry was drawn under (no rebuild
-  /// can intervene between a committed pick and its commit).
+  /// Draw accounting: one per iteration, charged against the scheduler
+  /// state the entry was drawn under (before any rebuild the iteration
+  /// triggers).
   auto countSchedDraw = [&](size_t PoolIndex) {
     ++Result.SchedDraws;
     const bool RareDraw = Sched.rareScore(PoolIndex) > 0;
@@ -586,9 +532,8 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   };
 
   // Coverage-frontier tracker (--frontier): folds every reference run
-  // in driver order -- seed registrations below, then each produced
-  // mutant at the in-order commit stage -- so its census is identical
-  // across Jobs values.
+  // in order -- seed registrations below, then each produced mutant at
+  // its commit.
   std::shared_ptr<FrontierTracker> Frontier;
   if (Config.TrackFrontier && Coverage) {
     FrontierTracker::Options FOpts;
@@ -614,8 +559,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   };
 
   // Saturation detection (--plateau-window / --stop-on-plateau). Pure
-  // function of the per-commit discovery signals, so the plateau
-  // iteration -- and the stop -- is identical across Jobs values.
+  // function of the per-commit discovery signals.
   std::optional<telemetry::SaturationDetector> Saturation;
   if (Config.PlateauWindow > 0)
     Saturation.emplace(telemetry::SaturationDetector::Options{
@@ -623,10 +567,9 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   bool PlateauStop = false;
 
   /// The observability hook of the commit stage: runs as the LAST
-  /// action of every committed iteration, in both loops, after all of
-  /// the iteration's counters and result state have been written -- so
-  /// everything it samples or folds reflects exactly the first
-  /// \p CommittedSoFar committed iterations for every Jobs value.
+  /// action of every iteration, after all of the iteration's counters
+  /// and result state have been written -- so everything it samples or
+  /// folds reflects exactly the first \p CommittedSoFar iterations.
   /// \p G is null for non-produced iterations.
   auto observeCommitted = [&](size_t CommittedSoFar, const GeneratedClass *G,
                               bool Representative, bool Discrepancy) {
@@ -669,9 +612,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
       Config.TimeSeries->onCommit(CommittedSoFar);
   };
 
-  // Mutation-outcome accounting shared by both loops. In the parallel
-  // pipeline this runs at the in-order commit stage only, so the
-  // numbers are identical across Jobs values.
+  // Mutation-outcome accounting, one call per iteration.
   auto recordMutation = [&](size_t MutatorIndex, MutationResult MR,
                             bool Produced) {
     switch (MR) {
@@ -692,8 +633,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
       TM.AssemblyFailed.inc();
   };
 
-  // One JSONL event per committed iteration. Commit order is the
-  // sequential order for every Jobs value, so the event stream is too.
+  // One JSONL event per iteration, in iteration order.
   auto emitIteration = [&](size_t IterIndex, size_t MutatorIndex,
                            MutationResult MR, bool Produced,
                            bool Representative) {
@@ -772,15 +712,14 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     return Iter < Config.Iterations;
   };
 
-  // Flight-recorder handle. Records happen at deterministic driver-side
-  // sites only (commit order), so dumps are identical across --jobs.
+  // Flight-recorder handle. Records happen at the commit stage only, in
+  // iteration order, so dumps are a function of the trajectory.
   telemetry::FlightRecorder &FR = telemetry::flightRecorder();
 
   // The static analyzer, bound to its own COW view of the reference
-  // environment. It runs at the in-order commit stage only -- never on
-  // worker threads -- so its memo state, the analysis records, and all
-  // analysis.* telemetry follow the committed trajectory and are
-  // identical across Jobs values.
+  // environment. It runs at the commit stage only, so its memo state,
+  // the analysis records, and all analysis.* telemetry follow the
+  // committed trajectory.
   std::optional<StaticAnalyzer> Analyzer;
   if (Config.RunAnalysis || PrefilterOn)
     Analyzer.emplace(RefEnv, Config.ReferencePolicy);
@@ -830,13 +769,12 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     Result.AnalysisRecords.push_back(Rec);
   };
 
-  /// Driver-side pre-filter verdict for one produced mutant: true when
-  /// the analyzer statically proves the mutant dies while loading or
-  /// linking (both *definite* predictions -- see StaticAnalyzer.h), so
-  /// the reference execution can be skipped. Also decides audit-sample
-  /// membership (a pure function of the mutant bytes). Runs only on the
-  /// driver thread against the committed environment; never draws from
-  /// the RNG.
+  /// Pre-filter verdict for one produced mutant: true when the analyzer
+  /// statically proves the mutant dies while loading or linking (both
+  /// *definite* predictions -- see StaticAnalyzer.h), so the reference
+  /// execution can be skipped. Also decides audit-sample membership (a
+  /// pure function of the mutant bytes). Runs against the committed
+  /// environment; never draws from the RNG.
   auto prefilterVerdict = [&](const GeneratedClass &G, bool &Audited,
                               int &PredictedPhase) -> bool {
     Audited = false;
@@ -892,8 +830,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   /// Commit-stage bookkeeping for one δ batch: the outcome census on
   /// the result, the campaign.dd_* counters, and the differential
   /// flight events (VmInternalError per aborting profile, then the
-  /// DiffOutcome). Runs in commit order only, so every output is
-  /// identical across Jobs values.
+  /// DiffOutcome), in commit order.
   auto recordDdBatch = [&](const GeneratedClass &G, const DdRun &Run,
                            DeltaDiversityChecker::Novelty Novelty) {
     ++Result.DdOutcomeCounts[Run.Encoded];
@@ -935,8 +872,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
 
   /// Commit-stage bookkeeping for one tier-diff run: the two-code
   /// census, the campaign.tier_* counters, deferred jit.* publication,
-  /// and the TierDisagreement flight event. Runs in commit order only,
-  /// so every output is identical across Jobs values.
+  /// and the TierDisagreement flight event, in commit order.
   auto recordTierBatch = [&](const GeneratedClass &G,
                              const std::string &Encoded,
                              const JitStats &Jit) {
@@ -1017,403 +953,145 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
         else
           Sched.addEntryNoCoverage();
       }
-      // Rebuild only at accepted commits: in the parallel pipeline an
-      // acceptance discards all in-flight speculation and rewinds the
-      // RNG, so no speculated pick can ever straddle a rebuild -- the
-      // committed pick sequence matches the sequential loop exactly.
+      // Rebuild only at accepted commits, where the pool changes; the
+      // hit-table ageing of rejected runs (noteTrace above) takes effect
+      // at the next rebuild.
       Sched.rebuild();
     }
   };
 
+  // ---- The campaign loop (Algorithm 1) -------------------------------
   size_t Iter = 0;
+  for (; budgetLeft(Iter) && !PlateauStop; ++Iter) {
+    // Line 5: pick a classfile from TestClasses -- through the seed
+    // scheduler's policy (uniform is bit-compatible with the old
+    // R.choiceIndex draw). Index, not reference: the pool may grow
+    // below. The draw is charged here, before any rebuild this
+    // iteration may trigger.
+    size_t PoolIndex = Sched.pick(R);
+    countSchedDraw(PoolIndex);
 
-  if (Jobs <= 1) {
-    // ---- Sequential reference loop (Algorithm 1, unchanged) ----------
-    for (; budgetLeft(Iter) && !PlateauStop; ++Iter) {
-      // Line 5: pick a classfile from TestClasses -- through the seed
-      // scheduler's policy (uniform is bit-compatible with the old
-      // R.choiceIndex draw). Index, not reference: the pool may grow
-      // below. The sequential loop IS the commit stage, so the draw is
-      // charged here, before any rebuild this iteration may trigger.
-      size_t PoolIndex = Sched.pick(R);
-      countSchedDraw(PoolIndex);
+    // Lines 6-10: mutator selection.
+    size_t MutatorIndex =
+        Mcmc ? Selector.selectNext(R) : R.choiceIndex(NumMu);
+    ++Result.MutatorSelected[MutatorIndex];
 
-      // Lines 6-10: mutator selection.
-      size_t MutatorIndex =
-          Mcmc ? Selector.selectNext(R) : R.choiceIndex(NumMu);
-      ++Result.MutatorSelected[MutatorIndex];
-
-      // Line 11: mutate. The RNG snapshot taken here (before any
-      // mutation draw) is the step's provenance record: restoring it
-      // and re-applying the mutator re-derives the mutant bytes. The
-      // typed-hole list (null unless --typed-mutators) is extracted
-      // RNG-free, so it cannot perturb the snapshot.
-      Ctx.Holes = holesFor(Pool[PoolIndex].Name, Pool[PoolIndex].Data);
-      RngState RngBefore = R.state();
-      telemetry::PhaseTimer MutT(TM.MutateNs, "mutate");
-      MutationOutcome Mutant =
-          mutateClass(Pool[PoolIndex].Data, MutatorIndex, Ctx);
-      MutT.stop();
-      recordMutation(MutatorIndex, Mutant.Result, Mutant.Produced);
-      if (!Mutant.Produced) {
-        if (Mcmc)
-          Selector.recordOutcome(MutatorIndex, false);
-        emitIteration(Iter, MutatorIndex, Mutant.Result, false, false);
-        FR.record(telemetry::FlightKind::Iteration, Iter, MutatorIndex,
-                  packIterationOutcome(Mutant.Result, false, false));
-        observeCommitted(Iter + 1, nullptr, false, false);
-        maybeProgress(Iter + 1);
-        continue;
-      }
-
-      GeneratedClass G;
-      G.Name = Mutant.ClassName;
-      G.Data = std::move(Mutant.Data);
-      G.MutatorIndex = MutatorIndex;
-      G.Prov = Pool[PoolIndex].Prov;
-      G.Prov.Steps.push_back(
-          {MutatorIndex, RngBefore, R.drawCount() - RngBefore.Draws});
-
-      // Analyzer pre-filter (--prefilter): mutants statically proven
-      // dead in loading/linking skip execution and commit as
-      // produced-but-rejected (empty trace, RefPhase -1). Audited skips
-      // still execute -- to check the prediction -- but commit exactly
-      // like unaudited ones, so the committed trajectory is independent
-      // of the audit fraction.
-      bool PfAudited = false;
-      int PfPredicted = -1;
-      if (prefilterVerdict(G, PfAudited, PfPredicted)) {
-        int Observed = -1;
-        if (PfAudited) {
-          telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
-          Observed = DdMode ? ddRunOf(G.Name, G.Data).RefPhase
-                            : coverageOf(G.Name, G.Data).Phase;
-        }
-        if (Mcmc)
-          Selector.recordOutcome(MutatorIndex, false);
-        if (Telem)
-          TM.Rejected.inc();
-        emitIteration(Iter, MutatorIndex, Mutant.Result, true, false);
-        FR.record(telemetry::FlightKind::Iteration, Iter, MutatorIndex,
-                  packIterationOutcome(Mutant.Result, true, false));
-        {
-          telemetry::PhaseTimer CommitT(TM.CommitNs, "commit");
-          commitProduced(std::move(G), Iter);
-        }
-        commitPrefilterSkip(PfPredicted, PfAudited, Observed);
-        observeCommitted(Iter + 1, &Result.GenClasses.back(), false, false);
-        maybeProgress(Iter + 1);
-        continue;
-      }
-      commitPrefilterPass();
-
-      // Lines 12-16: record, run on the reference JVM (δ modes: on all
-      // profiles), accept on uniqueness (δ modes: on tuple novelty).
-      bool Representative;
-      bool DdDiscrepancy = false;
-      if (DdMode) {
-        telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
-        DdRun Run = ddRunOf(G.Name, G.Data);
-        ExecT.stop();
-        G.Trace = std::move(Run.RefTrace);
-        G.RefPhase = Run.RefPhase;
-        G.DdEncoded = Run.Encoded;
-        G.TierEncoded = Run.TierEncoded;
-        DeltaDiversityChecker::Novelty Novelty = Accept.acceptDd(Run.Obs);
-        Representative = Novelty.Tuple;
-        DdDiscrepancy = Run.isDiscrepancy();
-        recordDdBatch(G, Run, Novelty);
-        recordTierBatch(G, Run.TierEncoded, Run.TierJit);
-      } else if (Coverage) {
-        telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
-        RefRun Run = coverageOf(G.Name, G.Data);
-        ExecT.stop();
-        G.Trace = std::move(Run.Trace);
-        G.RefPhase = Run.Phase;
-        G.TierEncoded = Run.TierEncoded;
-        Representative = Accept.accept(G.Trace);
-        recordTierBatch(G, Run.TierEncoded, Run.TierJit);
-      } else {
-        Representative = true;
-      }
-      G.Representative = Representative;
-
+    // Line 11: mutate. The RNG snapshot taken here (before any
+    // mutation draw) is the step's provenance record: restoring it
+    // and re-applying the mutator re-derives the mutant bytes. The
+    // typed-hole list (null unless --typed-mutators) is extracted
+    // RNG-free, so it cannot perturb the snapshot.
+    Ctx.Holes = holesFor(Pool[PoolIndex].Name, Pool[PoolIndex].Data);
+    RngState RngBefore = R.state();
+    telemetry::PhaseTimer MutT(TM.MutateNs, "mutate");
+    MutationOutcome Mutant =
+        mutateClass(Pool[PoolIndex].Data, MutatorIndex, Ctx);
+    MutT.stop();
+    recordMutation(MutatorIndex, Mutant.Result, Mutant.Produced);
+    if (!Mutant.Produced) {
       if (Mcmc)
-        Selector.recordOutcome(MutatorIndex, Representative);
-      // Deep-phase reward (--deep-reward): mutants surviving loading
-      // and linking add to the mutator's blended MCMC success rate.
-      if (DeepRewardOn && isDeepPhase(G.RefPhase))
-        Selector.recordDeepReach(MutatorIndex);
-      if (Telem)
-        (Representative ? TM.Accepted : TM.Rejected).inc();
-      emitIteration(Iter, MutatorIndex, Mutant.Result, true, Representative);
+        Selector.recordOutcome(MutatorIndex, false);
+      emitIteration(Iter, MutatorIndex, Mutant.Result, false, false);
       FR.record(telemetry::FlightKind::Iteration, Iter, MutatorIndex,
-                packIterationOutcome(Mutant.Result, true, Representative));
+                packIterationOutcome(Mutant.Result, false, false));
+      observeCommitted(Iter + 1, nullptr, false, false);
+      maybeProgress(Iter + 1);
+      continue;
+    }
+
+    GeneratedClass G;
+    G.Name = Mutant.ClassName;
+    G.Data = std::move(Mutant.Data);
+    G.MutatorIndex = MutatorIndex;
+    G.Prov = Pool[PoolIndex].Prov;
+    G.Prov.Steps.push_back(
+        {MutatorIndex, RngBefore, R.drawCount() - RngBefore.Draws});
+
+    // Analyzer pre-filter (--prefilter): mutants statically proven
+    // dead in loading/linking skip execution and commit as
+    // produced-but-rejected (empty trace, RefPhase -1). Audited skips
+    // still execute -- to check the prediction -- but commit exactly
+    // like unaudited ones, so the committed trajectory is independent
+    // of the audit fraction.
+    bool PfAudited = false;
+    int PfPredicted = -1;
+    if (prefilterVerdict(G, PfAudited, PfPredicted)) {
+      int Observed = -1;
+      if (PfAudited) {
+        telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
+        Observed = DdMode ? ddRunOf(G.Name, G.Data).RefPhase
+                          : coverageOf(G.Name, G.Data).Phase;
+      }
+      if (Mcmc)
+        Selector.recordOutcome(MutatorIndex, false);
+      if (Telem)
+        TM.Rejected.inc();
+      emitIteration(Iter, MutatorIndex, Mutant.Result, true, false);
+      FR.record(telemetry::FlightKind::Iteration, Iter, MutatorIndex,
+                packIterationOutcome(Mutant.Result, true, false));
       {
         telemetry::PhaseTimer CommitT(TM.CommitNs, "commit");
         commitProduced(std::move(G), Iter);
       }
-      const GeneratedClass &Stored = Result.GenClasses.back();
-      const bool TierDisagree = Stored.TierEncoded.size() == 2 &&
-                                Stored.TierEncoded[0] != Stored.TierEncoded[1];
-      observeCommitted(Iter + 1, &Stored, Representative,
-                       DdDiscrepancy || TierDisagree);
+      commitPrefilterSkip(PfPredicted, PfAudited, Observed);
+      observeCommitted(Iter + 1, &Result.GenClasses.back(), false, false);
       maybeProgress(Iter + 1);
+      continue;
     }
-  } else {
-    // ---- Parallel pipeline: speculative lookahead, in-order commit ---
-    //
-    // The sequential algorithm's per-iteration RNG draws and MCMC state
-    // depend on every earlier acceptance decision, so the pipeline
-    // speculates: the driver runs the cheap chain (pool pick, mutator
-    // selection, mutation) ahead of time under the presumption that
-    // every in-flight mutant will be rejected (recording the rejection
-    // in the selector, as the sequential loop would), and ships only
-    // the expensive reference-JVM coverage execution to the workers.
-    // The commit stage then processes iterations strictly in order:
-    // a rejection confirms the speculation; an acceptance rewinds the
-    // driver RNG and selector to this iteration's snapshot, applies the
-    // true outcome, and discards all later in-flight work. The committed
-    // trajectory is therefore bit-identical to the sequential loop for
-    // any worker count.
-    ThreadPool Workers(Jobs);
-    std::deque<PendingIteration> InFlight;
-    const size_t Window = Jobs * 2;
+    commitPrefilterPass();
 
-    auto speculate = [&]() {
-      PendingIteration P;
-      size_t PoolIndex = Sched.pick(R);
-      P.PoolIndex = PoolIndex;
-      P.MutatorIndex = Mcmc ? Selector.selectNext(R) : R.choiceIndex(NumMu);
-      Ctx.Holes = holesFor(Pool[PoolIndex].Name, Pool[PoolIndex].Data);
-      RngState RngBefore = R.state();
-      telemetry::PhaseTimer MutT(TM.MutateNs, "mutate");
-      MutationOutcome Mutant =
-          mutateClass(Pool[PoolIndex].Data, P.MutatorIndex, Ctx);
-      MutT.stop();
-      P.MutResult = Mutant.Result;
-      P.Produced = Mutant.Produced;
-      if (P.Produced) {
-        P.G.Name = Mutant.ClassName;
-        P.G.Data = std::move(Mutant.Data);
-        P.G.MutatorIndex = P.MutatorIndex;
-        P.G.Prov = Pool[PoolIndex].Prov;
-        P.G.Prov.Steps.push_back(
-            {P.MutatorIndex, RngBefore, R.drawCount() - RngBefore.Draws});
-        // Pre-filter verdict at speculation time, on the driver. The
-        // analyzer's environment is the committed one -- an acceptance
-        // discards all in-flight speculation -- so the verdict for
-        // every *committed* iteration matches the sequential loop's.
-        P.PrefilterSkip =
-            prefilterVerdict(P.G, P.PrefilterAudited, P.PredictedPhase);
-        P.Cancelled = std::make_shared<std::atomic<bool>>(false);
-        // The worker's environment: a COW overlay of the corpus as of
-        // this iteration (no accept can intervene before commit -- an
-        // accept discards all later in-flight iterations).
-        if (P.PrefilterSkip && !P.PrefilterAudited) {
-          // Statically proven dead and not in the audit sample: ship
-          // nothing; the commit stage charges the skip.
-        } else if (DdMode) {
-          // δ modes ship the whole five-profile batch to the worker;
-          // the overlays are made here, on the driver, against this
-          // iteration's view of the corpus.
-          auto Envs = std::make_shared<std::vector<ClassPath>>(DdEnvs);
-          for (ClassPath &E : *Envs)
-            E.add(P.G.Name, P.G.Data);
-          P.Dd = Workers.submit(
-              [Envs, Name = P.G.Name, &ddRunOver,
-               Cancelled = P.Cancelled,
-               &ExecNs = TM.ExecuteNs]() -> DdRun {
-                if (Cancelled->load(std::memory_order_relaxed))
-                  return DdRun();
-                telemetry::PhaseTimer ExecT(ExecNs, "execute");
-                return ddRunOver(Name, *Envs);
-              });
-        } else {
-          auto Env = std::make_shared<ClassPath>(RefEnv);
-          Env->add(P.G.Name, P.G.Data);
-          P.Trace = Workers.submit(
-              [Env, Name = P.G.Name, &Policy = Config.ReferencePolicy,
-               Cancelled = P.Cancelled, TierDiff, &tierRunInto,
-               &ExecNs = TM.ExecuteNs]() -> RefRun {
-                if (Cancelled->load(std::memory_order_relaxed))
-                  return RefRun();
-                // Worker-side timing is safe: Histogram is lock-free
-                // atomics, and the timer never touches campaign state.
-                // The span lands on this worker's Perfetto lane.
-                telemetry::PhaseTimer ExecT(ExecNs, "execute");
-                CoverageRecorder Recorder;
-                Vm Jvm(Policy, *Env, &Recorder);
-                JvmResult RunResult = Jvm.run(Name);
-                RefRun Run{Recorder.takeTrace(), encodePhase(RunResult)};
-                if (TierDiff)
-                  tierRunInto(Name, *Env, Run.TierEncoded, Run.TierJit);
-                return Run;
-              });
-        }
-      }
-      P.RngAfter = R;
-      if (Mcmc) {
-        P.SelectorBefore = Selector;
-        // Presume rejection (the common case); exact for !Produced.
-        Selector.recordOutcome(P.MutatorIndex, false);
-      }
-      InFlight.push_back(std::move(P));
-    };
+    // Lines 12-16: record, run on the reference JVM (δ modes: on all
+    // profiles), accept on uniqueness (δ modes: on tuple novelty).
+    bool Representative;
+    bool DdDiscrepancy = false;
+    if (DdMode) {
+      telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
+      DdRun Run = ddRunOf(G.Name, G.Data);
+      ExecT.stop();
+      G.Trace = std::move(Run.RefTrace);
+      G.RefPhase = Run.RefPhase;
+      G.DdEncoded = Run.Encoded;
+      G.TierEncoded = Run.TierEncoded;
+      DeltaDiversityChecker::Novelty Novelty = Accept.acceptDd(Run.Obs);
+      Representative = Novelty.Tuple;
+      DdDiscrepancy = Run.isDiscrepancy();
+      recordDdBatch(G, Run, Novelty);
+      recordTierBatch(G, Run.TierEncoded, Run.TierJit);
+    } else if (Coverage) {
+      telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
+      RefRun Run = coverageOf(G.Name, G.Data);
+      ExecT.stop();
+      G.Trace = std::move(Run.Trace);
+      G.RefPhase = Run.Phase;
+      G.TierEncoded = Run.TierEncoded;
+      Representative = Accept.accept(G.Trace);
+      recordTierBatch(G, Run.TierEncoded, Run.TierJit);
+    } else {
+      Representative = true;
+    }
+    G.Representative = Representative;
 
-    for (;;) {
-      while (InFlight.size() < Window && budgetLeft(Iter + InFlight.size()))
-        speculate();
-      if (InFlight.empty())
-        break;
-
-      // Stop at the plateau-latching commit, exactly like the
-      // sequential loop: everything still in flight is uncommitted
-      // speculative work and is discarded.
-      auto discardInFlight = [&] {
-        for (PendingIteration &Stale : InFlight)
-          if (Stale.Cancelled)
-            Stale.Cancelled->store(true, std::memory_order_relaxed);
-        InFlight.clear();
-      };
-
-      PendingIteration P = std::move(InFlight.front());
-      InFlight.pop_front();
-      ++Result.MutatorSelected[P.MutatorIndex];
-      recordMutation(P.MutatorIndex, P.MutResult, P.Produced);
-      ++Iter;
-      // Charge the pool draw at commit. The scheduler state is the one
-      // the pick was speculated under: rebuilds happen only at accepted
-      // commits, which discard everything still in flight.
-      countSchedDraw(P.PoolIndex);
-      if (!P.Produced) {
-        // The rejection recorded at speculation time is exact.
-        emitIteration(Iter - 1, P.MutatorIndex, P.MutResult, false, false);
-        FR.record(telemetry::FlightKind::Iteration, Iter - 1, P.MutatorIndex,
-                  packIterationOutcome(P.MutResult, false, false));
-        observeCommitted(Iter, nullptr, false, false);
-        maybeProgress(Iter);
-        if (PlateauStop) {
-          discardInFlight();
-          break;
-        }
-        continue;
-      }
-
-      if (P.PrefilterSkip) {
-        // The presumed rejection recorded at speculation time is exact
-        // for a skip. Audited skips fetch the observed phase from their
-        // worker; the committed mutant keeps an empty trace and
-        // RefPhase -1 either way, so the trajectory matches the
-        // sequential loop and is independent of the audit fraction.
-        int Observed = -1;
-        if (P.PrefilterAudited)
-          Observed = DdMode ? P.Dd.get().RefPhase : P.Trace.get().Phase;
-        if (Telem)
-          TM.Rejected.inc();
-        emitIteration(Iter - 1, P.MutatorIndex, P.MutResult, true, false);
-        FR.record(telemetry::FlightKind::Iteration, Iter - 1, P.MutatorIndex,
-                  packIterationOutcome(P.MutResult, true, false));
-        {
-          telemetry::PhaseTimer CommitT(TM.CommitNs, "commit");
-          commitProduced(std::move(P.G), Iter - 1);
-        }
-        commitPrefilterSkip(P.PredictedPhase, P.PrefilterAudited, Observed);
-        observeCommitted(Iter, &Result.GenClasses.back(), false, false);
-        maybeProgress(Iter);
-        if (PlateauStop) {
-          discardInFlight();
-          break;
-        }
-        continue;
-      }
-      commitPrefilterPass();
-
-      DdRun DdResult;
-      JitStats TierJit;
-      if (DdMode) {
-        DdResult = P.Dd.get();
-        P.G.Trace = std::move(DdResult.RefTrace);
-        P.G.RefPhase = DdResult.RefPhase;
-        P.G.DdEncoded = DdResult.Encoded;
-        P.G.TierEncoded = DdResult.TierEncoded;
-        TierJit = DdResult.TierJit;
-      } else {
-        RefRun Run = P.Trace.get();
-        P.G.Trace = std::move(Run.Trace);
-        P.G.RefPhase = Run.Phase;
-        P.G.TierEncoded = Run.TierEncoded;
-        TierJit = Run.TierJit;
-      }
+    if (Mcmc)
+      Selector.recordOutcome(MutatorIndex, Representative);
+    // Deep-phase reward (--deep-reward): mutants surviving loading
+    // and linking add to the mutator's blended MCMC success rate.
+    if (DeepRewardOn && isDeepPhase(G.RefPhase))
+      Selector.recordDeepReach(MutatorIndex);
+    if (Telem)
+      (Representative ? TM.Accepted : TM.Rejected).inc();
+    emitIteration(Iter, MutatorIndex, Mutant.Result, true, Representative);
+    FR.record(telemetry::FlightKind::Iteration, Iter, MutatorIndex,
+              packIterationOutcome(Mutant.Result, true, Representative));
+    {
       telemetry::PhaseTimer CommitT(TM.CommitNs, "commit");
-      bool Representative;
-      if (DdMode) {
-        DeltaDiversityChecker::Novelty Novelty =
-            Accept.acceptDd(DdResult.Obs);
-        Representative = Novelty.Tuple;
-        recordDdBatch(P.G, DdResult, Novelty);
-      } else {
-        Representative = Accept.accept(P.G.Trace);
-      }
-      recordTierBatch(P.G, P.G.TierEncoded, TierJit);
-      P.G.Representative = Representative;
-      // A deep-phase reach (--deep-reward) re-ranks the selector just
-      // like an acceptance, so it too invalidates the presumed-
-      // rejection speculation.
-      const bool DeepReach = DeepRewardOn && isDeepPhase(P.G.RefPhase);
-      if ((Representative || DeepReach) && Mcmc) {
-        // Mispredicted: rewind the selector past the presumed rejection
-        // and apply the true outcome, in the sequential loop's order.
-        Selector = std::move(*P.SelectorBefore);
-        Selector.recordOutcome(P.MutatorIndex, Representative);
-        if (DeepReach)
-          Selector.recordDeepReach(P.MutatorIndex);
-      }
-      FR.record(telemetry::FlightKind::Iteration, Iter - 1, P.MutatorIndex,
-                packIterationOutcome(P.MutResult, true, Representative));
-      commitProduced(std::move(P.G), Iter - 1);
-      CommitT.stop();
-      if (Telem)
-        (Representative ? TM.Accepted : TM.Rejected).inc();
-      emitIteration(Iter - 1, P.MutatorIndex, P.MutResult, true,
-                    Representative);
-      if (Representative || DeepReach) {
-        // All later speculation saw a stale pool/ranking/environment
-        // (a deep reach alone stales the ranking): cancel it and rewind
-        // the RNG to just after this iteration.
-        // Deliberately no flight event here: speculation depth is a
-        // --jobs artifact, and the flight stream feeds incident bundles
-        // that must stay byte-identical across --jobs values (the
-        // SpecRollbacks counter tracks rollbacks instead).
-        if (Telem) {
-          TM.SpecRollbacks.inc();
-          TM.SpecCancelled.inc(InFlight.size());
-        }
-        for (PendingIteration &Stale : InFlight)
-          if (Stale.Cancelled)
-            Stale.Cancelled->store(true, std::memory_order_relaxed);
-        InFlight.clear();
-        R = P.RngAfter;
-      } else if (Telem) {
-        // Presumed-rejection speculation confirmed: the pipeline kept
-        // this iteration's work.
-        TM.SpecHits.inc();
-      }
-      {
-        const GeneratedClass &Stored = Result.GenClasses.back();
-        const bool TierDisagree =
-            Stored.TierEncoded.size() == 2 &&
-            Stored.TierEncoded[0] != Stored.TierEncoded[1];
-        const bool DdDiscrepancy = DdMode && DdResult.isDiscrepancy();
-        observeCommitted(Iter, &Stored, Representative,
-                         DdDiscrepancy || TierDisagree);
-      }
-      maybeProgress(Iter);
-      if (PlateauStop) {
-        discardInFlight();
-        break;
-      }
+      commitProduced(std::move(G), Iter);
     }
+    const GeneratedClass &Stored = Result.GenClasses.back();
+    const bool TierDisagree = Stored.TierEncoded.size() == 2 &&
+                              Stored.TierEncoded[0] != Stored.TierEncoded[1];
+    observeCommitted(Iter + 1, &Stored, Representative,
+                     DdDiscrepancy || TierDisagree);
+    maybeProgress(Iter + 1);
   }
 
   Result.Iterations = Iter;
@@ -1472,8 +1150,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     }
   }
   // Final time-series row after the end-of-run metric fills above, so
-  // it carries campaign.iterations and the dd census gauges. Everything
-  // those fills read is Jobs-invariant result state.
+  // it carries campaign.iterations and the dd census gauges.
   if (Config.TimeSeries)
     Config.TimeSeries->finish(Iter);
   if (telemetry::eventSink())

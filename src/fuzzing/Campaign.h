@@ -96,9 +96,8 @@ struct CampaignConfig {
   /// mutant additionally runs on the reference policy's
   /// threaded-interpreter and baseline tiers, and the two-code outcome
   /// census (TierOutcomeCounts, campaign.tier_* counters, the
-  /// TierDisagreement flight events) is recorded at the in-order commit
-  /// stage -- byte-identical across Jobs values. Ignored by randfuzz
-  /// (no execution stage to ride).
+  /// TierDisagreement flight events) is recorded at the commit stage.
+  /// Ignored by randfuzz (no execution stage to ride).
   bool TierDiff = false;
   /// The geometric parameter p of the MCMC selector (paper: 3/129).
   double GeometricP = 0;
@@ -107,12 +106,10 @@ struct CampaignConfig {
   /// (mutate original seeds only), isolating the paper's §3.2 claim
   /// that representative seeds breed representative mutants.
   bool FeedbackAcceptedMutants = true;
-  /// Worker threads for the mutate -> execute -> collect-coverage
-  /// pipeline. 1 runs the sequential reference loop. Higher values
-  /// overlap reference-JVM coverage executions through speculative
-  /// lookahead with an in-order commit stage; the committed campaign
-  /// trajectory is bit-identical across Jobs values for a fixed RngSeed.
-  /// Ignored (treated as 1) by randfuzz, which collects no coverage.
+  /// Not read by runCampaign: the campaign is one sequential loop
+  /// (DESIGN.md §7), so its results never depend on a thread count. The
+  /// field stays only for callers that still assign it; the CLI's
+  /// --jobs sizes the post-campaign difftest pool instead.
   size_t Jobs = 1;
   /// When positive, the driver prints a one-line progress report to
   /// stderr roughly every this many seconds (committed iterations,
@@ -122,19 +119,17 @@ struct CampaignConfig {
   /// it via --progress).
   double ProgressIntervalSeconds = 0;
   /// Run the execution-free static analyzer over every produced mutant
-  /// at the in-order commit stage and latch predict-vs-observe
-  /// mismatches as self-check reports (analysis/StaticAnalyzer.h).
-  /// Observation only: the analyzer never touches the RNG or the
-  /// acceptance decision, so the committed trajectory is unchanged and
-  /// all analysis.* outputs are identical across Jobs values.
+  /// at the commit stage and latch predict-vs-observe mismatches as
+  /// self-check reports (analysis/StaticAnalyzer.h). Observation only:
+  /// the analyzer never touches the RNG or the acceptance decision, so
+  /// the committed trajectory is unchanged.
   bool RunAnalysis = true;
   /// Maintain a coverage FrontierTracker over every folded reference
-  /// run (seed registrations, then each produced mutant at the in-order
-  /// commit stage): global hit counts, rare-branch set, first-hit
-  /// attribution, and the frontier.* / frontier.mutator_phase
-  /// telemetry. Observation only; the census is identical across Jobs
-  /// values. Ignored by randfuzz (no coverage to fold). The tracker
-  /// lands in CampaignResult::Frontier.
+  /// run (seed registrations, then each produced mutant at the commit
+  /// stage): global hit counts, rare-branch set, first-hit attribution,
+  /// and the frontier.* / frontier.mutator_phase telemetry. Observation
+  /// only. Ignored by randfuzz (no coverage to fold). The tracker lands
+  /// in CampaignResult::Frontier.
   bool TrackFrontier = false;
   /// Rarity cut of the frontier tracker and the seed scheduler (hits
   /// <= threshold = rare). The default of 2 is the bench_seedsched
@@ -143,27 +138,26 @@ struct CampaignConfig {
   /// pick diversity costs discrepancy yield.
   uint64_t RareBranchThreshold = 2;
   /// When non-null, receives one onCommit per committed iteration (and
-  /// a finish at end of run) at the in-order commit stage -- the
-  /// deterministic time-series hook (telemetry/TimeSeries.h). Not
-  /// owned. Observation only.
+  /// a finish at end of run) at the commit stage -- the deterministic
+  /// time-series hook (telemetry/TimeSeries.h). Not owned. Observation
+  /// only.
   telemetry::TimeSeriesSampler *TimeSeries = nullptr;
   /// When positive, run a SaturationDetector with this window over the
   /// per-commit discovery signals (new frontier branches, acceptances,
   /// discrepancies); a latched plateau lands in CampaignResult and the
   /// campaign.plateau_at gauge. A pure function of the committed
-  /// trajectory, so the plateau iteration is identical across Jobs.
+  /// trajectory.
   size_t PlateauWindow = 0;
   /// Latch when a full window holds fewer than this many discoveries.
   uint64_t PlateauMinDiscoveries = 1;
-  /// Stop the campaign at the commit that latches the plateau (applied
-  /// at the in-order commit stage; the committed trajectory up to and
-  /// including the stopping iteration stays Jobs-invariant).
+  /// Stop the campaign at the commit that latches the plateau; the
+  /// committed trajectory up to and including the stopping iteration is
+  /// unchanged.
   bool StopOnPlateau = false;
   /// Seed-selection policy over the mutation pool (--seed-sched,
   /// fuzzing/SeedScheduler.h). Every policy consumes exactly one Rng
   /// draw per iteration with the same bound, so switching policies
-  /// never perturbs mutator selection or mutation draws downstream,
-  /// and the trajectory stays bit-identical across Jobs values. The
+  /// never perturbs mutator selection or mutation draws downstream. The
   /// scheduler maintains its own hit-count table (no --frontier
   /// needed); randfuzz collects no coverage and degrades to Uniform.
   SeedSchedPolicy SeedSched = SeedSchedPolicy::Uniform;
@@ -177,17 +171,15 @@ struct CampaignConfig {
   /// MCMC deep-phase reward weight (McmcSelector::setDeepReward):
   /// mutants that survive loading/linking (phase 0, 3, or 4) add this
   /// on top of the acceptance reward. 0 disables. Requires the mcmc
-  /// algorithms with an execution stage; the parallel pipeline rewinds
-  /// speculation on deep reaches like it does on acceptances, so the
-  /// trajectory stays Jobs-invariant.
+  /// algorithms with an execution stage.
   double DeepRewardWeight = 0;
-  /// Analyzer-gated pre-filter: predictStartupOutcome runs in the
-  /// speculation stage and mutants statically proven dead in loading
-  /// or linking skip the execution stage entirely (committed as
-  /// produced-but-rejected with no trace). Counters fold at the
-  /// in-order commit stage (campaign.prefilter_*, Jobs-invariant).
-  /// Definite predictions make skipping sound; the audit fraction
-  /// below keeps the filter honest. Ignored by randfuzz.
+  /// Analyzer-gated pre-filter: predictStartupOutcome runs on every
+  /// produced mutant right after mutation, and mutants statically
+  /// proven dead in loading or linking skip the execution stage
+  /// entirely (committed as produced-but-rejected with no trace).
+  /// Counters fold at the commit stage (campaign.prefilter_*). Definite
+  /// predictions make skipping sound; the audit fraction below keeps
+  /// the filter honest. Ignored by randfuzz.
   bool Prefilter = false;
   /// Fraction of prefilter-skipped mutants that execute anyway so the
   /// observed phase can be checked against the prediction (membership
@@ -207,8 +199,7 @@ struct GeneratedClass {
   bool Representative = false; ///< Accepted into TestClasses.
   /// Full mutation lineage: root seed + the mutator chain with per-step
   /// RNG snapshots, sufficient to re-derive Data byte-for-byte
-  /// (fuzzing/Provenance.h). Always captured; identical across --jobs
-  /// values.
+  /// (fuzzing/Provenance.h). Always captured.
   Provenance Prov;
   /// Encoded startup phase {0..4} observed on the reference JVM during
   /// the coverage run; -1 when no reference run happened (randfuzz).
@@ -290,8 +281,8 @@ struct CampaignResult {
   /// discovery rate plateaued, and at which committed iteration.
   bool Plateaued = false;
   uint64_t PlateauAt = 0;
-  /// Seed-scheduler accounting, maintained at the in-order commit stage
-  /// (Jobs-invariant; mirrored by the campaign.sched_* telemetry).
+  /// Seed-scheduler accounting, maintained at the commit stage
+  /// (mirrored by the campaign.sched_* telemetry).
   /// SchedDraws counts committed iterations (one pool draw each);
   /// SchedRareDraws those whose drawn entry covered a rare branch site
   /// at draw time; SchedEpochs the scheduler rebuilds.
@@ -299,7 +290,7 @@ struct CampaignResult {
   uint64_t SchedRareDraws = 0;
   uint64_t SchedEpochs = 0;
   /// Pre-filter accounting (CampaignConfig::Prefilter), folded at the
-  /// in-order commit stage: produced mutants skipped as statically
+  /// commit stage: produced mutants skipped as statically
   /// dead vs. passed to execution, how many skips were audit-executed,
   /// and how many audits contradicted the prediction (each mispredict
   /// also latches a SelfCheckReport).

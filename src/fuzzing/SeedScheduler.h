@@ -21,17 +21,17 @@
 ///    fingerprint; selection mass is split equally across clusters so
 ///    behaviorally redundant seeds share one cluster's budget.
 ///
-/// Determinism contract (the campaign's jobs-invariance depends on it):
+/// Determinism contract:
 ///
 ///  * pick() consumes exactly one logical draw, `nextBelow(N)` with
 ///    N == entries(), for EVERY policy. The policy only permutes the
 ///    slot table the drawn index goes through, so the raw Rng draw
 ///    pattern -- and everything downstream of it -- is identical across
-///    policies and worker counts.
+///    policies.
 ///  * noteTrace() folds hit counts and rebuild() recomputes scores,
 ///    clusters, and the slot table; the campaign calls them only at the
-///    in-order commit stage (and rebuild() only at commits that discard
-///    in-flight speculation), so scheduler state is a pure function of
+///    commit stage (noteTrace() for every produced run, rebuild() only
+///    at accepted commits), so scheduler state is a pure function of
 ///    the committed trajectory.
 ///
 /// The scheduler owns its hit-count table: it never reads the frontier
@@ -94,8 +94,7 @@ public:
 
   /// Recomputes rare scores, clusters, and the selection slot table
   /// from the current entries and hit counts, and publishes the
-  /// campaign.sched_* gauges. Commit-stage only, and in the parallel
-  /// pipeline only at commits that discard in-flight speculation.
+  /// campaign.sched_* gauges. Commit-stage only, at accepted commits.
   void rebuild();
 
   /// Draws the next pool index: exactly one nextBelow(entries()) from

@@ -149,9 +149,8 @@ struct JvmPolicy {
   /// before LRU eviction.
   uint32_t JitCacheCapacity = 64;
   /// Baseline tier only: publish this Vm's jit.* counters to the global
-  /// telemetry registry at teardown. Campaign tier batches run on
-  /// speculative workers and disable this, re-publishing committed runs
-  /// at the deterministic commit stage instead.
+  /// telemetry registry at teardown. Campaign tier batches disable
+  /// this and publish only committed runs, at the commit stage.
   bool JitTelemetry = true;
 };
 

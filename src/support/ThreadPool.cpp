@@ -2,9 +2,12 @@
 
 #include "support/ThreadPool.h"
 
+#include <cassert>
+
 using namespace classfuzz;
 
 ThreadPool::ThreadPool(size_t NumThreads) {
+  assert(NumThreads <= MaxPoolThreads && "callers bound their thread flags");
   if (NumThreads == 0)
     NumThreads = 1;
   Workers.reserve(NumThreads);

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// A minimal fixed-size thread pool with a FIFO task queue, used by the
-/// parallel campaign pipeline to run reference-JVM coverage executions
-/// off the driver thread. Tasks are submitted as callables and their
+/// CLI's post-campaign difftest (`fuzz --jobs`) and the reducer's probe
+/// lanes (`--reduce-jobs`). Tasks are submitted as callables and their
 /// results retrieved through std::future; submission order is preserved
-/// by the queue so the pipeline's oldest in-flight iteration completes
-/// first under equal task cost.
+/// by the queue, so a caller that walks the futures in submission order
+/// waits on the oldest task first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +29,15 @@
 
 namespace classfuzz {
 
+/// The most worker threads a command-line flag may ask for. The CLI
+/// rejects larger --jobs / --reduce-jobs values before any pool starts.
+inline constexpr size_t MaxPoolThreads = 256;
+
 /// Fixed pool of worker threads draining a FIFO queue of tasks.
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers (at least one).
+  /// Spawns \p NumThreads workers (at least one, at most
+  /// MaxPoolThreads).
   explicit ThreadPool(size_t NumThreads);
 
   /// Drains outstanding tasks, then joins the workers.

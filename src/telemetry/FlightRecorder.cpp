@@ -23,8 +23,6 @@ const char *telemetry::flightKindName(FlightKind Kind) {
     return "iteration";
   case FlightKind::Accepted:
     return "accepted";
-  case FlightKind::SpecRollback:
-    return "spec_rollback";
   case FlightKind::DiffOutcome:
     return "diff_outcome";
   case FlightKind::VmInternalError:
@@ -44,7 +42,6 @@ const char *telemetry::flightKindName(FlightKind Kind) {
 const char *const *telemetry::flightEventFieldNames(FlightKind Kind) {
   static const char *const Iteration[] = {"iter", "mutator", "outcome"};
   static const char *const Accepted[] = {"iter", "gen_index", "class_hash"};
-  static const char *const SpecRollback[] = {"iter", "discarded", "-"};
   static const char *const DiffOutcome[] = {"encoded", "discrepancy",
                                             "class_hash"};
   static const char *const VmInternal[] = {"profile", "phase", "class_hash"};
@@ -59,8 +56,6 @@ const char *const *telemetry::flightEventFieldNames(FlightKind Kind) {
     return Iteration;
   case FlightKind::Accepted:
     return Accepted;
-  case FlightKind::SpecRollback:
-    return SpecRollback;
   case FlightKind::DiffOutcome:
     return DiffOutcome;
   case FlightKind::VmInternalError:

@@ -23,7 +23,8 @@
 ///    allocation after lane registration, no clock read -- events are
 ///    ordered by sequence number, not wall time, so dumps taken from
 ///    deterministic record sites are byte-identical across runs and
-///    --jobs values.
+///    --jobs values (the campaign records at its commit stage, the
+///    difftest defers worker-side events to its in-order walk).
 ///  * **Bounded.** Rings hold the most recent `capacity` events per
 ///    lane; older entries are overwritten. snapshot() merges all lanes
 ///    in global sequence order. Concurrent writers can tear an entry
@@ -63,12 +64,6 @@ enum class FlightKind : uint16_t {
   /// Mutant accepted into TestClasses: A=iteration, B=GenClasses index,
   /// C=FNV-1a hash of the mutant bytes.
   Accepted,
-  /// Parallel pipeline rollback: A=iteration, B=in-flight iterations
-  /// discarded. The campaign driver does NOT record this kind:
-  /// speculation depth is a --jobs/timing artifact, and the flight
-  /// stream feeds incident bundles that must stay byte-identical
-  /// across --jobs values. Available for ad-hoc instrumentation.
-  SpecRollback,
   /// Differential outcome: A=encoded sequence packed as decimal digits
   /// (first profile in the most significant digit), B=1 when a
   /// discrepancy, C=FNV-1a hash of the class name.

@@ -9,9 +9,9 @@
 /// (telemetry/Telemetry.h) append completed spans here when the
 /// collector is armed; writeChromeTrace() renders them in the Chrome
 /// trace-event JSON format, one track per thread lane, which
-/// ui.perfetto.dev (and chrome://tracing) load directly. With --jobs N
-/// the speculative coverage executions land on worker lanes while
-/// mutate/commit stay on lane 0, making the pipeline overlap visible.
+/// ui.perfetto.dev (and chrome://tracing) load directly. The campaign's
+/// mutate/execute/commit spans stay on lane 0; with `fuzz --jobs N` the
+/// post-campaign difftest spans land on N worker lanes.
 ///
 /// Observation-only like the rest of telemetry: spans are appended
 /// under a mutex at PhaseTimer granularity (microseconds to

@@ -279,12 +279,10 @@ MetricRegistry::snapshotJson(const std::vector<std::string> &Prefixes) const {
 }
 
 std::map<std::string, int64_t> MetricRegistry::scalarValues(
-    const std::vector<std::string> &Prefixes,
-    const std::vector<std::string> &ExcludePrefixes) const {
+    const std::vector<std::string> &Prefixes) const {
   std::lock_guard<std::mutex> Lock(M);
   auto Selected = [&](const std::string &Name) {
-    return (Prefixes.empty() || startsWithAny(Name, Prefixes)) &&
-           !startsWithAny(Name, ExcludePrefixes);
+    return Prefixes.empty() || startsWithAny(Name, Prefixes);
   };
   std::map<std::string, int64_t> Out;
   for (const auto &[Name, C] : Counters)

@@ -182,13 +182,12 @@ public:
   std::string snapshotJson(const std::vector<std::string> &Prefixes) const;
 
   /// The current value of every counter and gauge whose name starts
-  /// with one of \p Prefixes (empty = all) and with none of
-  /// \p ExcludePrefixes, as one sorted name->value map. Histograms and
-  /// grids are deliberately out of scope: this is the jobs-invariant
-  /// scalar view the time-series sampler snapshots per commit.
+  /// with one of \p Prefixes (empty = all), as one sorted name->value
+  /// map. Histograms and grids are deliberately out of scope: this is
+  /// the deterministic scalar view the time-series sampler snapshots
+  /// per commit.
   std::map<std::string, int64_t>
-  scalarValues(const std::vector<std::string> &Prefixes,
-               const std::vector<std::string> &ExcludePrefixes = {}) const;
+  scalarValues(const std::vector<std::string> &Prefixes) const;
 
   /// Zeroes every metric's value. References handed out earlier remain
   /// valid (tests and repeated campaigns rely on this).

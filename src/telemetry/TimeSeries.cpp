@@ -38,7 +38,7 @@ void TimeSeriesSampler::finish(uint64_t CommittedIterations) {
 
 void TimeSeriesSampler::sample(uint64_t Iter, bool Final) {
   std::map<std::string, int64_t> Now =
-      metrics().scalarValues(Opts.Prefixes, Opts.ExcludePrefixes);
+      metrics().scalarValues(Opts.Prefixes);
 
   std::string Row = "{\"type\":\"ts\",\"iter\":" + std::to_string(Iter);
   if (Final)

@@ -10,20 +10,19 @@
 /// windowed discovery-rate estimator that detects coverage/discrepancy
 /// saturation (plateau).
 ///
-/// Both are driven from the campaign's in-order commit stage only, and
-/// both consume only jobs-invariant inputs:
+/// Both are driven from the campaign's commit stage only, and both
+/// consume only inputs that are a function of the committed trajectory:
 ///
 ///  * The sampler reads counters and gauges (never histograms, which
-///    hold wall-clock noise) under an include-prefix set that by default
-///    excludes campaign.speculation.* (whose values depend on --jobs).
-///    Sampled at commit K the values reflect exactly the first K
-///    committed iterations, so timeseries.jsonl is byte-identical for
-///    any --jobs value -- the same determinism contract every other
+///    hold wall-clock noise) under an include-prefix set. Sampled at
+///    commit K the values reflect exactly the first K committed
+///    iterations, so timeseries.jsonl is byte-identical across runs and
+///    --jobs values -- the same determinism contract every other
 ///    artifact honors (CI cmp-enforces it).
 ///  * The saturation detector is a pure function of per-commit discovery
 ///    signals (new tuples, new branches, discrepancies); it never reads
 ///    the registry or the clock, so the plateau iteration -- and the
-///    --stop-on-plateau cutoff -- is identical across --jobs too.
+///    --stop-on-plateau cutoff -- is deterministic too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,14 +50,9 @@ public:
     /// Sample period in committed iterations.
     uint64_t SampleEvery = 64;
     /// Metric-name include prefixes. The defaults cover every
-    /// jobs-invariant campaign metric family.
+    /// campaign metric family.
     std::vector<std::string> Prefixes = {"campaign.", "coverage.",
                                          "frontier.", "analysis."};
-    /// Exclude prefixes, applied after the includes.
-    /// campaign.speculation.* counts speculative work and rollbacks,
-    /// which vary with --jobs; sampling them would break the
-    /// byte-identical contract.
-    std::vector<std::string> ExcludePrefixes = {"campaign.speculation."};
   };
 
   /// \p Stream, when non-null, receives each row as one JSONL line

@@ -1,9 +1,8 @@
 //===- tests/analysis/campaign_analysis_test.cpp ---------------------------===//
 //
 // The campaign's analysis wiring: one record per produced mutant, the
-// mismatch-latching invariant (a disagreement is never swallowed), the
-// self-check oracle holding over a real campaign, and jobs-invariance
-// of everything the analyzer emits.
+// mismatch-latching invariant (a disagreement is never swallowed), and
+// the self-check oracle holding over a real campaign.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,48 +19,26 @@ using namespace classfuzz;
 
 namespace {
 
-CampaignConfig analysisConfig(size_t Jobs, size_t Iterations,
-                              uint64_t Seed) {
+CampaignConfig analysisConfig(size_t Iterations, uint64_t Seed) {
   CampaignConfig Config;
   Config.Algo = FuzzAlgorithm::ClassfuzzStBr;
   Config.Iterations = Iterations;
   Config.RngSeed = Seed;
   Config.NumSeeds = 16;
-  Config.Jobs = Jobs;
   return Config;
-}
-
-void expectIdenticalAnalysis(const CampaignResult &A,
-                             const CampaignResult &B) {
-  ASSERT_EQ(A.AnalysisRecords.size(), B.AnalysisRecords.size());
-  for (size_t I = 0; I != A.AnalysisRecords.size(); ++I) {
-    const MutantAnalysisRecord &X = A.AnalysisRecords[I];
-    const MutantAnalysisRecord &Y = B.AnalysisRecords[I];
-    EXPECT_EQ(X.GenIndex, Y.GenIndex);
-    EXPECT_EQ(X.Outcome, Y.Outcome);
-    EXPECT_EQ(X.ObservedPhase, Y.ObservedPhase);
-    EXPECT_EQ(X.Findings, Y.Findings);
-    EXPECT_EQ(X.Mismatch, Y.Mismatch);
-  }
-  ASSERT_EQ(A.SelfChecks.size(), B.SelfChecks.size());
-  for (size_t I = 0; I != A.SelfChecks.size(); ++I) {
-    EXPECT_EQ(A.SelfChecks[I].GenIndex, B.SelfChecks[I].GenIndex);
-    EXPECT_EQ(A.SelfChecks[I].ObservedPhase, B.SelfChecks[I].ObservedPhase);
-    EXPECT_EQ(A.SelfChecks[I].Report.toJson(), B.SelfChecks[I].Report.toJson());
-  }
 }
 
 } // namespace
 
 TEST(CampaignAnalysis, OneRecordPerProducedMutant) {
-  auto R = runCampaign(analysisConfig(1, 120, 3));
+  auto R = runCampaign(analysisConfig(120, 3));
   EXPECT_EQ(R.AnalysisRecords.size(), R.numGenerated());
   for (size_t I = 0; I != R.AnalysisRecords.size(); ++I)
     EXPECT_EQ(R.AnalysisRecords[I].GenIndex, I);
 }
 
 TEST(CampaignAnalysis, RecordsCarryTheObservedPhase) {
-  auto R = runCampaign(analysisConfig(1, 120, 3));
+  auto R = runCampaign(analysisConfig(120, 3));
   for (const MutantAnalysisRecord &Rec : R.AnalysisRecords) {
     EXPECT_EQ(Rec.ObservedPhase, R.GenClasses[Rec.GenIndex].RefPhase);
     EXPECT_GE(Rec.ObservedPhase, 0);
@@ -70,7 +47,7 @@ TEST(CampaignAnalysis, RecordsCarryTheObservedPhase) {
 }
 
 TEST(CampaignAnalysis, MismatchFlagAndSelfChecksAgree) {
-  auto R = runCampaign(analysisConfig(1, 150, 5));
+  auto R = runCampaign(analysisConfig(150, 5));
   std::set<size_t> Latched;
   for (const SelfCheckReport &SC : R.SelfChecks)
     EXPECT_TRUE(Latched.insert(SC.GenIndex).second)
@@ -87,7 +64,7 @@ TEST(CampaignAnalysis, MismatchFlagAndSelfChecksAgree) {
 }
 
 TEST(CampaignAnalysis, DisabledAnalysisProducesNoRecords) {
-  CampaignConfig Config = analysisConfig(1, 60, 3);
+  CampaignConfig Config = analysisConfig(60, 3);
   Config.RunAnalysis = false;
   auto R = runCampaign(Config);
   EXPECT_TRUE(R.AnalysisRecords.empty());
@@ -98,8 +75,8 @@ TEST(CampaignAnalysis, DisabledAnalysisProducesNoRecords) {
 TEST(CampaignAnalysis, AnalysisIsObservationOnly) {
   // Same campaign with and without the analyzer: the committed
   // trajectory (classes, bytes, acceptance) must be untouched.
-  CampaignConfig With = analysisConfig(1, 100, 9);
-  CampaignConfig Without = analysisConfig(1, 100, 9);
+  CampaignConfig With = analysisConfig(100, 9);
+  CampaignConfig Without = analysisConfig(100, 9);
   Without.RunAnalysis = false;
   auto A = runCampaign(With);
   auto B = runCampaign(Without);
@@ -112,17 +89,11 @@ TEST(CampaignAnalysis, AnalysisIsObservationOnly) {
   EXPECT_EQ(A.TestClassIndices, B.TestClassIndices);
 }
 
-TEST(CampaignAnalysis, JobsOneAndEightEmitIdenticalAnalysis) {
-  auto Seq = runCampaign(analysisConfig(1, 150, 11));
-  auto Par = runCampaign(analysisConfig(8, 150, 11));
-  expectIdenticalAnalysis(Seq, Par);
-}
-
 TEST(CampaignAnalysis, ReanalysisReproducesJsonBytes) {
   // Re-running the analyzer over a campaign's mutants, in commit order,
   // from a fresh instance must reproduce byte-identical reports -- the
   // property `classfuzz analyze` output and CI goldens rely on.
-  auto R = runCampaign(analysisConfig(2, 100, 13));
+  auto R = runCampaign(analysisConfig(100, 13));
   ASSERT_FALSE(R.GenClasses.empty());
 
   auto Replay = [&] {
@@ -155,7 +126,7 @@ TEST(CampaignAnalysis, ReanalysisReproducesJsonBytes) {
 // configuration; a regression in either the analyzer or the VM pipeline
 // shows up here as a latched self-check with the full report attached.
 TEST(CampaignAnalysis, SelfCheckOracleHoldsOverLargeCampaign) {
-  CampaignConfig Config = analysisConfig(4, 800, 7);
+  CampaignConfig Config = analysisConfig(800, 7);
   Config.NumSeeds = 24;
   auto R = runCampaign(Config);
   EXPECT_GE(R.AnalysisRecords.size(), 500u);

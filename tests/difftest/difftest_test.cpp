@@ -268,14 +268,14 @@ TEST(DiffTest, FlightEventsAreDeferredUntilCommitted) {
   EXPECT_TRUE(FR.snapshot().empty())
       << "testClass must not write the global stream";
 
-  O.commitFlightEvents();
+  O.commit();
   auto Events = FR.snapshot();
   ASSERT_EQ(Events.size(), O.FlightEvents.size());
   EXPECT_EQ(Events.back().Kind, tel::FlightKind::DiffOutcome);
 
   // Committing is the caller's choice: a second commit replays again
   // (the reducer's probe lanes simply never call it).
-  O.commitFlightEvents();
+  O.commit();
   EXPECT_EQ(FR.snapshot().size(), 2 * O.FlightEvents.size());
 }
 

@@ -113,6 +113,17 @@ TEST(Campaign, McmcRecordsMutatorStatistics) {
   EXPECT_EQ(TotalSucceeded, R.numTests());
 }
 
+TEST(Campaign, FeedbackAblationMutatesOnlySeeds) {
+  // With Algorithm 1's line 14 switched off, accepted mutants never
+  // rejoin the pool, so every mutant is one step from its root seed.
+  CampaignConfig Config = smallConfig(FuzzAlgorithm::ClassfuzzStBr);
+  Config.FeedbackAcceptedMutants = false;
+  auto R = runCampaign(Config);
+  ASSERT_GT(R.numTests(), 0u);
+  for (const GeneratedClass &G : R.GenClasses)
+    EXPECT_EQ(G.Prov.Steps.size(), 1u) << G.Name;
+}
+
 TEST(Campaign, CorpusClassPathContainsSeedsAndMutants) {
   auto R = runCampaign(smallConfig(FuzzAlgorithm::ClassfuzzStBr, 60));
   ClassPath Corpus = R.corpusClassPath();

@@ -31,13 +31,12 @@ std::vector<size_t> typedIndices() {
   return Out;
 }
 
-CampaignConfig typedConfig(size_t Jobs = 1) {
+CampaignConfig typedConfig() {
   CampaignConfig Config;
   Config.Algo = FuzzAlgorithm::ClassfuzzStBr;
   Config.Iterations = 300;
   Config.RngSeed = 7;
   Config.NumSeeds = 8;
-  Config.Jobs = Jobs;
   Config.TypedMutators = true;
   return Config;
 }
@@ -88,9 +87,9 @@ TEST(TypedMutators, ExtendedRegistrySharesThePaperPrefix) {
 }
 
 TEST(TypedMutators, NoHolesMeansInapplicableAndZeroDraws) {
-  // The draw discipline behind --jobs invariance: a typed mutator whose
-  // hole list is absent (or offers no matching site) must not touch the
-  // RNG at all, or speculation replay would desynchronize.
+  // The draw discipline: a typed mutator whose hole list is absent (or
+  // offers no matching site) must not touch the RNG at all, so an
+  // inapplicable typed draw leaves the campaign's Rng stream untouched.
   Bytes Seed = serialize(makeHelloClass("Probe"));
   std::vector<std::string> Known = buildRuntimeLibrary("jre8").names();
   for (size_t I : typedIndices()) {
@@ -170,18 +169,4 @@ TEST(TypedMutators, CampaignLineagesReplayByteForByte) {
   // The campaign must actually have exercised the typed family, or the
   // provider path above went untested.
   EXPECT_GT(TypedSteps, 0u) << "no typed.* step in any lineage";
-}
-
-TEST(TypedMutators, TypedCampaignIsJobsInvariant) {
-  auto Seq = runCampaign(typedConfig(1));
-  auto Par = runCampaign(typedConfig(8));
-  ASSERT_EQ(Seq.numGenerated(), Par.numGenerated());
-  for (size_t I = 0; I != Seq.GenClasses.size(); ++I) {
-    EXPECT_EQ(Seq.GenClasses[I].Name, Par.GenClasses[I].Name);
-    EXPECT_EQ(Seq.GenClasses[I].Data, Par.GenClasses[I].Data);
-    EXPECT_EQ(Seq.GenClasses[I].MutatorIndex, Par.GenClasses[I].MutatorIndex);
-    EXPECT_EQ(Seq.GenClasses[I].Prov, Par.GenClasses[I].Prov);
-  }
-  EXPECT_EQ(Seq.MutatorSelected, Par.MutatorSelected);
-  EXPECT_EQ(Seq.MutatorSucceeded, Par.MutatorSucceeded);
 }

@@ -27,7 +27,6 @@ tel::TimeSeriesSampler::Options optsFor(const std::string &Prefix,
   tel::TimeSeriesSampler::Options Opts;
   Opts.SampleEvery = Every;
   Opts.Prefixes = {Prefix};
-  Opts.ExcludePrefixes.clear();
   return Opts;
 }
 
@@ -86,18 +85,6 @@ TEST(TimeSeries, ZerothCommitNeverSamplesAndPeriodZeroClampsToOne) {
   S.onCommit(1);
   S.onCommit(2);
   EXPECT_EQ(S.rows().size(), 2u) << "period 0 behaves as every-commit";
-}
-
-TEST(TimeSeries, ExcludePrefixesTrimInsideTheIncludeSet) {
-  tel::metrics().counter("ts_d.keep").inc(4);
-  tel::metrics().counter("ts_d.noise.jobs").inc(9);
-  auto Opts = optsFor("ts_d.", 1);
-  Opts.ExcludePrefixes = {"ts_d.noise."};
-  tel::TimeSeriesSampler S(Opts);
-  S.onCommit(1);
-  ASSERT_EQ(S.rows().size(), 1u);
-  EXPECT_NE(S.rows()[0].find("ts_d.keep"), std::string::npos);
-  EXPECT_EQ(S.rows()[0].find("ts_d.noise.jobs"), std::string::npos);
 }
 
 TEST(TimeSeries, StreamsRowsToTheAttachedFile) {

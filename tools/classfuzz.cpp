@@ -3,13 +3,13 @@
 // The classfuzz command-line tool:
 //
 //   classfuzz fuzz    [--algo A] [--iterations N | --time-budget S]
-//                     [--seeds N] [--rng N] [--out DIR]
+//                     [--seeds N] [--rng N] [--jobs N] [--out DIR]
 //                     [--incidents DIR] [--reduce] [--reduce-jobs N]
 //       run a fuzzing campaign, differentially test the accepted
-//       classfiles on all five JVM profiles, write report.md (and the
-//       discrepancy-triggering .class files when --out is given);
-//       --incidents dumps a self-contained replayable bundle per
-//       discrepancy or VM abort (DESIGN.md §9)
+//       classfiles on all five JVM profiles (on --jobs worker threads),
+//       write report.md (and the discrepancy-triggering .class files
+//       when --out is given); --incidents dumps a self-contained
+//       replayable bundle per discrepancy or VM abort (DESIGN.md §9)
 //
 //   classfuzz replay  BUNDLE_DIR
 //       re-derive an incident bundle's mutant from lineage.json and
@@ -64,6 +64,7 @@
 #include "runtime/RuntimeLib.h"
 #include "support/ArgParser.h"
 #include "support/Json.h"
+#include "support/ThreadPool.h"
 #include "telemetry/CampaignReport.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/PerfettoTrace.h"
@@ -76,6 +77,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -147,6 +149,22 @@ std::vector<FlagSpec> withTelemetryFlags(std::vector<FlagSpec> Specs) {
                    "at exit",
                    ""});
   return Specs;
+}
+
+/// Reads the worker-thread flag \p Flag into \p Out: 0 and garbage mean
+/// one thread. Values above MaxPoolThreads (negative numbers wrap to
+/// huge ones) are rejected with a diagnostic before any pool starts.
+bool threadCountOrExit(const ArgParser &A, const char *Flag, size_t &Out,
+                       int &Exit) {
+  const unsigned long long N = A.getUnsigned(Flag);
+  if (N > MaxPoolThreads) {
+    std::fprintf(stderr, "--%s %s: at most %zu threads\n", Flag,
+                 A.get(Flag).c_str(), MaxPoolThreads);
+    Exit = 2;
+    return false;
+  }
+  Out = std::max<size_t>(1, static_cast<size_t>(N));
+  return true;
 }
 
 /// Parses a subcommand's arguments; returns true to continue, false
@@ -320,7 +338,10 @@ int cmdFuzz(int Argc, char **Argv) {
            {"seed-dir", "DIR", "seed with the .class files of DIR", ""},
            {"rng", "N", "campaign RNG seed", "1"},
            {"jobs", "N",
-            "worker threads; results are identical across values", "1"},
+            "worker threads for the differential test of the accepted "
+            "classfiles (at most 256); results are identical across "
+            "values",
+            "1"},
            {"tier", "T",
             "execution tier for every JVM run: switch|threaded|baseline",
             "threaded"},
@@ -352,8 +373,8 @@ int cmdFuzz(int Argc, char **Argv) {
             "also reduce each discrepancy into the incident bundle",
             ""},
            {"reduce-jobs", "N",
-            "worker threads per reduction; reduced bytes are identical "
-            "across values",
+            "worker threads per reduction (at most 256); reduced bytes "
+            "are identical across values",
             "1"},
            {"timeseries", "FILE",
             "stream a delta-encoded JSONL metric time series to FILE, "
@@ -402,6 +423,10 @@ int cmdFuzz(int Argc, char **Argv) {
   int Exit = 0;
   if (!parseOrExit(A, Argc, Argv, Exit))
     return Exit;
+  size_t Jobs = 1, ReduceJobs = 1;
+  if (!threadCountOrExit(A, "jobs", Jobs, Exit) ||
+      !threadCountOrExit(A, "reduce-jobs", ReduceJobs, Exit))
+    return Exit;
   TelemetryCli Telem;
   if (!Telem.setup(A))
     return 1;
@@ -449,9 +474,6 @@ int cmdFuzz(int Argc, char **Argv) {
     return 2;
   }
   Config.RngSeed = A.getUnsigned("rng");
-  // Worker threads for the campaign pipeline; results are identical
-  // across --jobs values for a fixed --rng seed.
-  Config.Jobs = std::max<size_t>(1, static_cast<size_t>(A.getUnsigned("jobs")));
   Config.ProgressIntervalSeconds = A.getDouble("progress");
   auto Tier = parseExecTier(A.get("tier"));
   if (!Tier) {
@@ -526,9 +548,10 @@ int cmdFuzz(int Argc, char **Argv) {
   }
 
   // Arm the flight recorder before the campaign so incident bundles
-  // arrive with the run's last moments attached. Record sites are
-  // driver-side and deterministic, so the dumped stream (like the rest
-  // of the bundle) is byte-identical across --jobs values.
+  // arrive with the run's last moments attached. Events are recorded in
+  // campaign commit order and difftest class order only, so the dumped
+  // stream (like the rest of the bundle) is byte-identical across
+  // --jobs values.
   const std::string IncidentsDir = A.get("incidents");
   if (!IncidentsDir.empty())
     telemetry::flightRecorder().enable(
@@ -614,14 +637,29 @@ int cmdFuzz(int Argc, char **Argv) {
   EnvSpec.TierName = execTierName(*Tier);
   EnvSpec.TierDiff = Config.TierDiff;
 
+  // Fan-out: every TestClass's difftest runs on the --jobs pool (the
+  // tester is thread-safe and defers its events), and the walk below
+  // consumes the outcomes in class order. Stats, records, flight and
+  // trace events, reductions and bundles are therefore the same for any
+  // --jobs value.
+  ThreadPool Workers(Jobs);
+  std::vector<std::future<DiffOutcome>> Outcomes;
+  Outcomes.reserve(R.TestClassIndices.size());
+  for (size_t I : R.TestClassIndices)
+    Outcomes.push_back(Workers.submit(
+        [&Tester, &Name = R.GenClasses[I].Name] {
+          return Tester.testClass(Name);
+        }));
+
   DiffStats Stats;
   std::vector<DiscrepancyRecord> Records;
   std::vector<size_t> DiscrepancyIndices;
   size_t IncidentIndex = 0;
-  for (size_t I : R.TestClassIndices) {
+  for (size_t K = 0; K != R.TestClassIndices.size(); ++K) {
+    const size_t I = R.TestClassIndices[K];
     const GeneratedClass &G = R.GenClasses[I];
-    DiffOutcome O = Tester.testClass(G.Name);
-    O.commitFlightEvents();
+    DiffOutcome O = Outcomes[K].get();
+    O.commit();
     Stats.add(O);
     bool Discrepancy = O.isDiscrepancy();
     if (Discrepancy) {
@@ -654,8 +692,7 @@ int cmdFuzz(int Argc, char **Argv) {
         return Tester.testClass(Name, Candidate).encodedString() == Target;
       };
       ReducerOptions ROpts;
-      ROpts.Jobs =
-          std::max<size_t>(1, static_cast<size_t>(A.getUnsigned("reduce-jobs")));
+      ROpts.Jobs = ReduceJobs;
       if (auto Reduced = reduceClassfile(G.Data, Oracle, ROpts)) {
         Inc.Reduced = Reduced.take();
         Inc.HasReduced = true;
@@ -690,7 +727,7 @@ int cmdFuzz(int Argc, char **Argv) {
       Inc.MutantName = G.Name;
       Inc.MutantData = G.Data;
       Inc.Outcome = Tester.testClass(G.Name);
-      Inc.Outcome.commitFlightEvents();
+      Inc.Outcome.commit();
       for (const ProfileDesc &P : Tester.profiles()) {
         Inc.ProfileNames.push_back(P.Name);
         Inc.ProfileTiers.push_back(execTierName(P.Tier));
@@ -871,7 +908,7 @@ int cmdReplay(int Argc, char **Argv) {
   auto Tester = DifferentialTester::withTieredProfiles(
       Extra, EnvironmentMode::PerJvm, ReplayTier, Parsed->Spec.TierDiff);
   DiffOutcome O = Tester.testClass(Replayed->ClassName);
-  O.commitFlightEvents();
+  O.commit();
   std::printf("encoded \"%s\"%s\n", O.encodedString().c_str(),
               O.isDiscrepancy() ? "  ** DISCREPANCY **" : "");
   for (size_t I = 0; I != O.Results.size(); ++I)
@@ -938,7 +975,7 @@ int cmdRun(int Argc, char **Argv) {
                           Corpus, EnvironmentMode::Shared, *RunTier, false,
                           Env);
   DiffOutcome O = Tester.testClass(CF->ThisClass);
-  O.commitFlightEvents();
+  O.commit();
   std::printf("encoded \"%s\"%s\n", O.encodedString().c_str(),
               O.isDiscrepancy() ? "  ** DISCREPANCY **" : "");
   for (size_t I = 0; I != O.Results.size(); ++I) {
@@ -982,8 +1019,8 @@ int cmdReduce(int Argc, char **Argv) {
                   {{"out", "FILE",
                     "output path (default: FILE.class.reduced)", ""},
                    {"reduce-jobs", "N",
-                    "worker threads probing the oracle; reduced bytes "
-                    "are identical across values",
+                    "worker threads probing the oracle (at most 256); "
+                    "reduced bytes are identical across values",
                     "1"},
                    {"max-queries", "N", "oracle query budget", "10000"},
                    {"no-chunks", "",
@@ -997,6 +1034,9 @@ int cmdReduce(int Argc, char **Argv) {
     std::fputs(A.helpText().c_str(), stderr);
     return 2;
   }
+  ReducerOptions Opts;
+  if (!threadCountOrExit(A, "reduce-jobs", Opts.Jobs, Exit))
+    return Exit;
   TelemetryCli Telem;
   if (!Telem.setup(A))
     return 1;
@@ -1029,9 +1069,6 @@ int cmdReduce(int Argc, char **Argv) {
                                const Bytes &Candidate) {
     return Tester.testClass(Name, Candidate).encodedString() == Target;
   };
-  ReducerOptions Opts;
-  Opts.Jobs =
-      std::max<size_t>(1, static_cast<size_t>(A.getUnsigned("reduce-jobs")));
   Opts.MaxOracleQueries = static_cast<size_t>(A.getUnsigned("max-queries"));
   Opts.ChunkedHdd = !A.has("no-chunks");
   ReductionStats Stats;
