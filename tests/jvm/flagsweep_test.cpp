@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 using namespace classfuzz;
 using namespace classfuzz::testhelpers;
 
@@ -24,6 +26,16 @@ struct MethodFlagCase {
   bool J9Accepts;
   bool GijAccepts;
 };
+
+/// Prints a case as its flag word, so test listings and the ctest names
+/// discovered from them stay stable. gtest's default dumps the raw
+/// struct bytes, whose Name pointer moves with every load address.
+void PrintTo(const MethodFlagCase &C, std::ostream *OS) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "0x%04X %s", C.Flags,
+                C.WithCode ? "with Code" : "no Code");
+  *OS << Buf;
+}
 
 class MethodFlagSweep
     : public ::testing::TestWithParam<MethodFlagCase> {};
@@ -106,6 +118,13 @@ struct ClassFlagCase {
   bool HotSpotAccepts;
   bool GijAccepts;
 };
+
+/// Prints a case as its flag word (see the MethodFlagCase overload).
+void PrintTo(const ClassFlagCase &C, std::ostream *OS) {
+  char Buf[8];
+  std::snprintf(Buf, sizeof(Buf), "0x%04X", C.Flags);
+  *OS << Buf;
+}
 
 class ClassFlagSweep : public ::testing::TestWithParam<ClassFlagCase> {};
 

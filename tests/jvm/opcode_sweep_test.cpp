@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 using namespace classfuzz;
 using namespace classfuzz::testhelpers;
 
@@ -195,6 +197,19 @@ struct InvalidCase {
   uint16_t MaxStack;
   uint16_t MaxLocals;
 };
+
+/// Prints a case as its code bytes, so test listings and the ctest names
+/// discovered from them stay stable. gtest's default dumps the raw
+/// struct bytes, whose Name and vector pointers move with every run.
+void PrintTo(const InvalidCase &C, std::ostream *OS) {
+  *OS << '[';
+  for (uint8_t B : C.Code) {
+    char Hex[3];
+    std::snprintf(Hex, sizeof(Hex), "%02X", B);
+    *OS << Hex;
+  }
+  *OS << ']';
+}
 
 class InvalidCode : public ::testing::TestWithParam<InvalidCase> {};
 
