@@ -461,7 +461,9 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     Env.add(Name, Data);
     Vm Jvm(Config.ReferencePolicy, Env, &Recorder);
     JvmResult RunResult = Jvm.run(Name);
-    RefRun Run{Recorder.takeTrace(), encodePhase(RunResult)};
+    RefRun Run;
+    Run.Trace = Recorder.takeTrace();
+    Run.Phase = encodePhase(RunResult);
     if (TierDiff)
       tierRunInto(Name, Env, Run.TierEncoded, Run.TierJit);
     return Run;

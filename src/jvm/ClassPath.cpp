@@ -3,17 +3,9 @@
 #include "jvm/ClassPath.h"
 
 #include "support/Hashing.h"
+#include "telemetry/Telemetry.h"
 
 using namespace classfuzz;
-
-namespace {
-
-/// Chains deeper than this are flattened on freeze(): lookups walk the
-/// chain, so depth trades per-freeze flatten cost against per-lookup
-/// cost. Flattening every 16 layers keeps both O(small).
-constexpr size_t MaxLayerDepth = 16;
-
-} // namespace
 
 void ClassPath::add(const std::string &InternalName, Bytes Data) {
   if (!has(InternalName))
@@ -74,21 +66,37 @@ ClassPath ClassPath::overlaidWith(const ClassPath &Overlay) const {
 void ClassPath::freeze() {
   if (Overlay.empty())
     return;
-  size_t Depth = Base ? Base->Depth + 1 : 1;
-  if (Depth > MaxLayerDepth) {
-    // Flatten: one layer holding the whole merged view.
-    auto Flat = std::make_shared<Layer>();
-    for (const auto &[Name, Data] : mergedView())
-      Flat->Classes[Name] = *Data;
-    Base = std::move(Flat);
-  } else {
-    auto Top = std::make_shared<Layer>();
-    Top->Classes = std::move(Overlay);
-    Top->Parent = Base;
-    Top->Depth = Depth;
-    Base = std::move(Top);
-  }
+  auto Top = std::make_shared<Layer>();
+  Top->Classes = std::move(Overlay);
   Overlay.clear();
+  // Geometric (LSM-style) merging: fold the parent into the new layer
+  // while the parent holds at most twice its entries, newest wins.
+  // Every surviving parent holds more than twice its child, so a chain
+  // over n names has at most log2(n) + 1 layers; and (replacements
+  // aside) a copied entry lands in a layer at least 1.5x the one it
+  // left, so each entry is copied O(log n) times. Shared layers are
+  // only read; the merged layer is private until published.
+  std::shared_ptr<const Layer> Parent = Base;
+  uint64_t Copied = 0;
+  while (Parent && Parent->Classes.size() <= 2 * Top->Classes.size()) {
+    // Both maps are sorted: walk the insertion hint forward so the
+    // merge is linear in the two sizes.
+    auto Hint = Top->Classes.begin();
+    for (const auto &[Name, Data] : Parent->Classes) {
+      while (Hint != Top->Classes.end() && Hint->first < Name)
+        ++Hint;
+      if (Hint != Top->Classes.end() && Hint->first == Name)
+        continue; // Shadowed by a newer layer.
+      Top->Classes.emplace_hint(Hint, Name, Data);
+      ++Copied;
+    }
+    Parent = Parent->Parent;
+  }
+  Top->Parent = Parent;
+  Top->Depth = Parent ? Parent->Depth + 1 : 1;
+  Base = std::move(Top);
+  if (telemetry::enabled())
+    telemetry::metrics().counter("work.classpath_entries_copied").inc(Copied);
 }
 
 size_t ClassPath::layerDepth() const { return Base ? Base->Depth : 0; }

@@ -16,7 +16,8 @@
 /// overlay map that receives add()s. Copying a ClassPath shares the
 /// frozen layers (O(1) per layer) and deep-copies only the pending
 /// overlay; freeze() seals the pending overlay into a new shared layer
-/// so subsequent copies are cheap. This is what lets the campaign loop
+/// so subsequent copies are cheap, merging layers geometrically (as an
+/// LSM tree does) so lookups walk at most log2(n) + 1 of them. This is what lets the campaign loop
 /// and the differential tester stack "corpus + one mutant" environments
 /// per iteration without re-copying the whole corpus (previously an
 /// O(corpus) deep copy per mutant).
@@ -71,8 +72,11 @@ public:
 
   /// Seals pending add()s into a new shared immutable layer, making
   /// subsequent copies of this object O(layers) instead of O(pending
-  /// entries). Flattens the chain when it grows past a small depth cap so
-  /// lookups stay fast. No observable effect on contents.
+  /// entries). Merges the new layer with its parents while each parent
+  /// holds at most twice its entries, so a chain over n entries has at
+  /// most log2(n) + 1 layers and an add is copied O(log n) times
+  /// amortized (counted in `work.classpath_entries_copied`). No
+  /// observable effect on contents.
   void freeze();
 
   /// Number of frozen layers under this object (diagnostic; exercised by

@@ -88,14 +88,26 @@ TEST(Campaign, RandfuzzKeepsEveryProducedMutant) {
 }
 
 TEST(Campaign, RandfuzzIsFasterPerClass) {
-  auto Rand = runCampaign(smallConfig(FuzzAlgorithm::Randfuzz, 200));
-  auto Directed =
-      runCampaign(smallConfig(FuzzAlgorithm::ClassfuzzStBr, 200));
-  ASSERT_GT(Rand.numGenerated(), 0u);
-  ASSERT_GT(Directed.numGenerated(), 0u);
-  double RandPerClass = Rand.ElapsedSeconds / Rand.numGenerated();
-  double DirectedPerClass =
-      Directed.ElapsedSeconds / Directed.numGenerated();
+  // Wall-clock per class of two ~25 ms campaigns: a single pair is at
+  // the mercy of host load, so compare each algorithm's best of five
+  // pairs, alternating which side of a pair runs first.
+  double RandPerClass = 0, DirectedPerClass = 0;
+  for (int Pair = 0; Pair != 5; ++Pair) {
+    CampaignResult Rand, Directed;
+    if (Pair % 2 == 0) {
+      Rand = runCampaign(smallConfig(FuzzAlgorithm::Randfuzz, 200));
+      Directed = runCampaign(smallConfig(FuzzAlgorithm::ClassfuzzStBr, 200));
+    } else {
+      Directed = runCampaign(smallConfig(FuzzAlgorithm::ClassfuzzStBr, 200));
+      Rand = runCampaign(smallConfig(FuzzAlgorithm::Randfuzz, 200));
+    }
+    ASSERT_GT(Rand.numGenerated(), 0u);
+    ASSERT_GT(Directed.numGenerated(), 0u);
+    double R = Rand.ElapsedSeconds / Rand.numGenerated();
+    double D = Directed.ElapsedSeconds / Directed.numGenerated();
+    RandPerClass = Pair == 0 ? R : std::min(RandPerClass, R);
+    DirectedPerClass = Pair == 0 ? D : std::min(DirectedPerClass, D);
+  }
   EXPECT_LT(RandPerClass, DirectedPerClass)
       << "coverage collection dominates directed algorithms (Table 4)";
 }

@@ -45,8 +45,9 @@ TEST(Prefilter, SkipsCandidatesAndCountsAddUp) {
   // (unless audited, which still leaves the stored record bare so the
   // trajectory cannot depend on the audit fraction).
   for (const GeneratedClass &G : R.GenClasses)
-    if (G.RefPhase < 0)
+    if (G.RefPhase < 0) {
       EXPECT_FALSE(G.Representative) << G.Name;
+    }
 }
 
 TEST(Prefilter, FullAuditObservesZeroMispredicts) {
@@ -111,8 +112,9 @@ TEST(DeepReward, FoldsDeepestPhasePerMutator) {
     DeepHits += R.MutatorDeepHits[I];
     // A mutator with deep hits must have observed a deep (or normal)
     // deepest phase: 0 = completed normally, >= 3 = init/runtime death.
-    if (R.MutatorDeepHits[I] > 0)
+    if (R.MutatorDeepHits[I] > 0) {
       EXPECT_TRUE(P == 0 || P >= 3) << "mutator " << I;
+    }
   }
   EXPECT_GT(Reached, 0u);
   EXPECT_GT(DeepHits, 0u) << "no mutant survived loading/linking";

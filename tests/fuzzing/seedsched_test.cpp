@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <unordered_map>
 #include <vector>
 
 using namespace classfuzz;
@@ -51,6 +54,113 @@ void expectIdenticalSchedResults(const CampaignResult &A,
   EXPECT_EQ(A.SchedDraws, B.SchedDraws);
   EXPECT_EQ(A.SchedRareDraws, B.SchedRareDraws);
   EXPECT_EQ(A.SchedEpochs, B.SchedEpochs);
+}
+
+/// From-scratch reference scorer: rescans every entry's branches at
+/// every rebuild and rebuilds the full slot table (identity included),
+/// the way the scheduler worked before its state became incremental.
+class ReferenceScheduler {
+public:
+  explicit ReferenceScheduler(SeedScheduler::Options Opts) : Opts(Opts) {}
+
+  void addEntry(const Tracefile &Trace) {
+    Branches.emplace_back(Trace.branches().begin(), Trace.branches().end());
+    Prints.push_back(Trace.fingerprint());
+  }
+
+  void noteTrace(const Tracefile &Trace) {
+    for (uint32_t B : Trace.branches())
+      ++Hits[B];
+  }
+
+  void rebuild() {
+    const size_t N = Branches.size();
+    Scores.assign(N, 0);
+    size_t Total = 0;
+    RareCount = 0;
+    for (size_t I = 0; I != N; ++I) {
+      for (uint32_t B : Branches[I]) {
+        auto It = Hits.find(B);
+        Scores[I] += (It == Hits.end() ? 0 : It->second) <= Opts.RareThreshold;
+      }
+      Total += Scores[I];
+      RareCount += Scores[I] > 0;
+    }
+    std::vector<std::vector<size_t>> Clusters;
+    std::unordered_map<uint64_t, size_t> KeyToCluster;
+    for (size_t I = 0; I != N; ++I) {
+      auto [It, Fresh] = KeyToCluster.try_emplace(Prints[I], Clusters.size());
+      if (Fresh)
+        Clusters.emplace_back();
+      Clusters[It->second].push_back(I);
+    }
+    ClusterCount = Clusters.size();
+
+    DrawMap.resize(N);
+    std::iota(DrawMap.begin(), DrawMap.end(), 0);
+    if (Opts.Policy == SeedSchedPolicy::Rare && Total != 0) {
+      std::vector<size_t> Slots(N);
+      std::vector<uint64_t> Rem(N);
+      size_t Assigned = 0;
+      for (size_t I = 0; I != N; ++I) {
+        Slots[I] = N * Scores[I] / Total;
+        Rem[I] = N * Scores[I] % Total;
+        Assigned += Slots[I];
+      }
+      std::vector<size_t> Order(N);
+      std::iota(Order.begin(), Order.end(), 0);
+      std::sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+        return Rem[A] != Rem[B] ? Rem[A] > Rem[B] : A < B;
+      });
+      for (size_t K = 0; Assigned < N; ++K, ++Assigned)
+        ++Slots[Order[K % N]];
+      DrawMap.clear();
+      for (size_t I = 0; I != N; ++I)
+        DrawMap.insert(DrawMap.end(), Slots[I], I);
+    } else if (Opts.Policy == SeedSchedPolicy::Cluster && N != 0) {
+      DrawMap.clear();
+      const size_t C = Clusters.size();
+      for (size_t Cl = 0; Cl != C; ++Cl)
+        for (size_t K = 0; K != N / C + (Cl < N % C); ++K)
+          DrawMap.push_back(Clusters[Cl][K % Clusters[Cl].size()]);
+    }
+  }
+
+  size_t pick(Rng &R) const {
+    size_t Draw = static_cast<size_t>(R.nextBelow(Branches.size()));
+    return DrawMap.size() == Branches.size() ? DrawMap[Draw] : Draw;
+  }
+
+  size_t rareScore(size_t I) const { return I < Scores.size() ? Scores[I] : 0; }
+  size_t rareEntries() const { return RareCount; }
+  size_t clusters() const { return ClusterCount; }
+  size_t entries() const { return Branches.size(); }
+
+private:
+  SeedScheduler::Options Opts;
+  std::vector<std::vector<uint32_t>> Branches;
+  std::vector<uint64_t> Prints;
+  std::unordered_map<uint32_t, uint64_t> Hits;
+  std::vector<size_t> Scores; ///< As of the last rebuild.
+  std::vector<size_t> DrawMap;
+  size_t RareCount = 0;
+  size_t ClusterCount = 0;
+};
+
+/// A random trace over a small site universe, so branches repeat across
+/// entries and cross the rarity threshold at varied times; some traces
+/// are empty (coverage-free entries) and some repeat exactly (shared
+/// cluster fingerprints).
+Tracefile randomTrace(Rng &Gen) {
+  Tracefile T;
+  if (Gen.nextBool(0.1))
+    return T;
+  if (Gen.nextBool(0.2))
+    return traceOf({1, 2, 3});
+  const uint64_t Sites = 1 + Gen.nextBelow(8);
+  for (uint64_t K = 0; K != Sites; ++K)
+    T.addBranch(static_cast<uint32_t>(Gen.nextBelow(40)), Gen.nextBool());
+  return T;
 }
 
 } // namespace
@@ -177,6 +287,54 @@ TEST(SeedScheduler, ClusterSplitsMassEquallyAcrossFingerprints) {
   EXPECT_EQ(Counts[2], 0u) << "third redundant member gets no slot";
   EXPECT_GT(Counts[3], Picks / 3) << "singleton cluster holds half the mass";
   EXPECT_EQ(Counts[0] + Counts[1] + Counts[3], static_cast<size_t>(Picks));
+}
+
+TEST(SeedScheduler, IncrementalStateMatchesFromScratchReference) {
+  // Random add / note / rebuild sequences: after every operation the
+  // scores ("as of the last rebuild") match the reference, and after
+  // every rebuild so do the census and a long pick() sequence.
+  for (SeedSchedPolicy P : {SeedSchedPolicy::Uniform, SeedSchedPolicy::Rare,
+                            SeedSchedPolicy::Cluster}) {
+    for (size_t Threshold : {0u, 1u, 2u, 5u}) {
+      for (uint64_t Seed = 1; Seed != 5; ++Seed) {
+        SCOPED_TRACE(std::string(seedSchedPolicyName(P)) + " threshold " +
+                     std::to_string(Threshold) + " seed " +
+                     std::to_string(Seed));
+        SeedScheduler::Options Opts;
+        Opts.Policy = P;
+        Opts.RareThreshold = Threshold;
+        SeedScheduler Sched(Opts);
+        ReferenceScheduler Ref(Opts);
+        Rng Gen(Seed);
+        for (int Op = 0; Op != 400; ++Op) {
+          const uint64_t Kind = Gen.nextBelow(10);
+          if (Kind < 3) {
+            Tracefile T = randomTrace(Gen);
+            Sched.addEntry(T);
+            Ref.addEntry(T);
+          } else if (Kind < 8) {
+            Tracefile T = randomTrace(Gen);
+            Sched.noteTrace(T);
+            Ref.noteTrace(T);
+          } else {
+            Sched.rebuild();
+            Ref.rebuild();
+            ASSERT_EQ(Sched.rareEntries(), Ref.rareEntries());
+            ASSERT_EQ(Sched.clusters(), Ref.clusters());
+            if (Sched.entries() != 0) {
+              Rng A(Seed * 31 + Op), B(Seed * 31 + Op);
+              for (int K = 0; K != 200; ++K)
+                ASSERT_EQ(Sched.pick(A), Ref.pick(B));
+              ASSERT_EQ(A.state(), B.state());
+            }
+          }
+          ASSERT_EQ(Sched.entries(), Ref.entries());
+          for (size_t I = 0; I != Ref.entries(); ++I)
+            ASSERT_EQ(Sched.rareScore(I), Ref.rareScore(I)) << "entry " << I;
+        }
+      }
+    }
+  }
 }
 
 TEST(SeedSchedCampaign, RareChargesOneDrawPerIteration) {

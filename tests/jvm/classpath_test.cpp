@@ -9,7 +9,11 @@
 
 #include "jvm/ClassPath.h"
 
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace classfuzz;
 
@@ -23,6 +27,29 @@ ClassPath makeBase() {
   CP.add("Seed0", bytesOf("seed0"));
   CP.add("Seed1", bytesOf("seed1"));
   return CP;
+}
+
+/// Checks \p CP's merged view against the flat map it should equal,
+/// and the chain depth against geometric merging's bound.
+void expectMatchesFlat(const ClassPath &CP,
+                       const std::map<std::string, Bytes> &Flat) {
+  ASSERT_EQ(CP.size(), Flat.size());
+  std::vector<std::string> Names;
+  ClassPath FlatCP; // Never frozen: a single pending overlay.
+  for (const auto &[Name, Data] : Flat) {
+    Names.push_back(Name);
+    FlatCP.add(Name, Data);
+    const Bytes *Got = CP.lookup(Name);
+    ASSERT_NE(Got, nullptr) << Name;
+    ASSERT_EQ(*Got, Data) << Name;
+  }
+  EXPECT_EQ(CP.lookup("Absent"), nullptr);
+  EXPECT_EQ(CP.names(), Names);
+  EXPECT_EQ(CP.fingerprint(), FlatCP.fingerprint());
+  size_t Log2 = 0;
+  while ((size_t{2} << Log2) <= Flat.size())
+    ++Log2;
+  EXPECT_LE(CP.layerDepth(), Log2 + 2) << "size " << Flat.size();
 }
 
 } // namespace
@@ -96,7 +123,7 @@ TEST(ClassPath, FreezePreservesContentsAndFingerprint) {
 
 TEST(ClassPath, DeepLayerChainsFlattenAndStayCorrect) {
   // Repeated add+freeze cycles (one per accepted mutant in a campaign)
-  // must keep the merged view correct through the periodic flatten.
+  // must keep the merged view correct through layer merging.
   ClassPath CP = makeBase();
   CP.freeze();
   for (int I = 0; I != 100; ++I) {
@@ -155,4 +182,63 @@ TEST(ClassPath, EmptyBehaviors) {
   EXPECT_TRUE(CP.names().empty());
   CP.freeze(); // Freezing nothing is a no-op.
   EXPECT_EQ(CP.layerDepth(), 0u);
+}
+
+TEST(ClassPath, RandomLayeringMatchesFlatMap) {
+  // Random add / replace-existing-name / freeze sequences, with
+  // snapshots taken along the way: every view must equal its flat map,
+  // and merging in later freezes must never reach into a snapshot's
+  // shared layers.
+  for (uint64_t Seed = 1; Seed != 9; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Rng Gen(Seed);
+    ClassPath CP;
+    std::map<std::string, Bytes> Flat;
+    std::vector<std::pair<ClassPath, std::map<std::string, Bytes>>> Snaps;
+    for (int Op = 0; Op != 1500; ++Op) {
+      const uint64_t Kind = Gen.nextBelow(10);
+      if (Kind < 5 || Flat.empty()) {
+        std::string Name = "C" + std::to_string(Op);
+        Bytes Data = bytesOf("v" + std::to_string(Op));
+        CP.add(Name, Data);
+        Flat[Name] = Data;
+      } else if (Kind < 7) {
+        auto It = std::next(Flat.begin(),
+                            static_cast<long>(Gen.nextBelow(Flat.size())));
+        Bytes Data = bytesOf("r" + std::to_string(Op));
+        CP.add(It->first, Data);
+        It->second = Data;
+      } else {
+        CP.freeze();
+      }
+      if (Op % 97 == 0)
+        Snaps.emplace_back(CP, Flat);
+      if (Op % 50 == 0)
+        expectMatchesFlat(CP, Flat);
+    }
+    CP.freeze();
+    expectMatchesFlat(CP, Flat);
+    for (const auto &[Snap, SnapFlat] : Snaps)
+      expectMatchesFlat(Snap, SnapFlat);
+  }
+}
+
+TEST(ClassPath, OneAddPerFreezeKeepsLogDepth) {
+  // The campaign's pattern: a large frozen base, then one add + freeze
+  // per accepted mutant.
+  ClassPath CP;
+  std::map<std::string, Bytes> Flat;
+  for (int I = 0; I != 300; ++I) {
+    CP.add("Base" + std::to_string(I), bytesOf("b"));
+    Flat["Base" + std::to_string(I)] = bytesOf("b");
+  }
+  CP.freeze();
+  for (int I = 0; I != 2000; ++I) {
+    CP.add("Mutant" + std::to_string(I), bytesOf("m" + std::to_string(I)));
+    Flat["Mutant" + std::to_string(I)] = bytesOf("m" + std::to_string(I));
+    CP.freeze();
+    if (I % 250 == 0)
+      expectMatchesFlat(CP, Flat);
+  }
+  expectMatchesFlat(CP, Flat);
 }

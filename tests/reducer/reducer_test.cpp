@@ -218,8 +218,9 @@ TEST(Reducer, EmptiedMethodBodiesAreNeverProbed) {
   auto Out = parseClassFile(*Reduced);
   ASSERT_TRUE(Out.ok());
   for (const MethodInfo &M : Out->Methods) {
-    if (M.Code)
+    if (M.Code) {
       EXPECT_FALSE(M.Code->Code.empty()) << M.Name;
+    }
   }
 }
 

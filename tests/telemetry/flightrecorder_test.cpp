@@ -147,13 +147,15 @@ TEST(FlightRecorder, MultiLaneMergeOrdersBySequence) {
   std::set<uint64_t> Seqs;
   std::vector<uint64_t> LastPerLane(1024, UINT64_MAX);
   for (size_t I = 0; I != Events.size(); ++I) {
-    if (I > 0)
+    if (I > 0) {
       EXPECT_LT(Events[I - 1].Seq, Events[I].Seq);
+    }
     Seqs.insert(Events[I].Seq);
     ASSERT_LT(Events[I].Lane, 1024u);
     uint64_t &Last = LastPerLane[Events[I].Lane];
-    if (Last != UINT64_MAX)
+    if (Last != UINT64_MAX) {
       EXPECT_LT(Last, Events[I].Seq);
+    }
     Last = Events[I].Seq;
   }
   EXPECT_EQ(Seqs.size(), Threads * PerThread);
@@ -233,8 +235,9 @@ TEST(FlightRecorder, RingOverflowKeepsEachLanesLastCapacityEvents) {
   std::set<uint64_t> Seqs;
   std::map<uint64_t, std::vector<uint64_t>> PerLane;
   for (size_t I = 0; I != Events.size(); ++I) {
-    if (I > 0)
+    if (I > 0) {
       EXPECT_LT(Events[I - 1].Seq, Events[I].Seq);
+    }
     Seqs.insert(Events[I].Seq);
     PerLane[Events[I].B].push_back(Events[I].A);
   }
