@@ -106,18 +106,19 @@ StaticAnalyzer::StaticAnalyzer(const ClassPath &Env, JvmPolicy Policy)
 /// Mirror of the Vm's loading and linking state, without heap or
 /// interpreter. Every check, message, and recursion order below is
 /// copied from Vm::loadClass/linkClass so the predicted abort is the
-/// abort the VM raises. Environment classes are parsed and
-/// format-checked through the analyzer's shared EnvCache, so across a
-/// campaign of mutants each runtime-library class pays those costs
-/// once, not once per simulation.
+/// abort the VM raises. Environment classes are read from their
+/// ClassPath entries' shared parses and format-checked through the
+/// analyzer's EnvCache, so across a campaign of mutants each
+/// runtime-library class pays those costs once, not once per
+/// simulation.
 struct StaticAnalyzer::SimState {
   const StaticAnalyzer &A;
   const JvmPolicy &Policy;
   const ClassPath &Env;
   const std::string *OverlayName = nullptr;
-  const Bytes *OverlayData = nullptr;
-  /// The overlay's bytes already parsed, when the caller has them.
-  const ClassFile *OverlayCF = nullptr;
+  /// The class shadowing *OverlayName (a mutant), parsed through its
+  /// entry.
+  const ClassEntry *Overlay = nullptr;
   /// Precomputed eager-verification result for the overlay class (see
   /// runTypeCheckPass); consulted only for *OverlayName.
   const std::optional<CheckFailure> *OverlayVerify = nullptr;
@@ -131,11 +132,6 @@ struct StaticAnalyzer::SimState {
   explicit SimState(const StaticAnalyzer &A)
       : A(A), Policy(A.Policy), Env(A.Env) {}
 
-  /// Lazily parsed overlay when the caller handed raw bytes only.
-  std::optional<ClassFile> OwnedOverlayCF;
-  std::string OwnedOverlayError;
-  bool OverlayParsed = false;
-
   bool isOverlay(const std::string &Name) const {
     return OverlayName && Name == *OverlayName;
   }
@@ -147,20 +143,10 @@ struct StaticAnalyzer::SimState {
       Touched->insert(Name);
   }
 
-  /// The overlay's parsed ClassFile, or nullptr when it fails to parse
-  /// (OwnedOverlayError then holds the message).
-  const ClassFile *overlayClassFile() {
-    if (OverlayCF)
-      return OverlayCF;
-    if (!OverlayParsed) {
-      OverlayParsed = true;
-      auto Parsed = parseClassFile(*OverlayData);
-      if (Parsed.ok())
-        OwnedOverlayCF = Parsed.take();
-      else
-        OwnedOverlayError = Parsed.error();
-    }
-    return OwnedOverlayCF ? &*OwnedOverlayCF : nullptr;
+  /// The overlay's parsed ClassFile, or nullptr when it fails to parse.
+  const ClassFile *overlayClassFile() const {
+    const Result<ClassFile> &Parsed = Overlay->parsed();
+    return Parsed.ok() ? &*Parsed : nullptr;
   }
 
   void abort(JvmPhase Phase, JvmErrorKind Kind, std::string Message,
@@ -197,7 +183,7 @@ struct StaticAnalyzer::SimState {
       CF = overlayClassFile();
       if (!CF) {
         abort(JvmPhase::Loading, JvmErrorKind::ClassFormatError,
-              OwnedOverlayError, Name);
+              Overlay->parsed().error(), Name);
         return false;
       }
       if (CF->ThisClass != Name) {
@@ -211,14 +197,14 @@ struct StaticAnalyzer::SimState {
       }
     } else {
       const EnvClassInfo &Info = A.envClassInfo(Name);
-      if (!Info.Exists) {
+      if (!Info.Entry) {
         abort(JvmPhase::Loading, JvmErrorKind::NoClassDefFoundError, Name,
               Name);
         return false;
       }
       if (!Info.CF) {
         abort(JvmPhase::Loading, JvmErrorKind::ClassFormatError,
-              Info.ParseError, Name);
+              Info.Entry->parsed().error(), Name);
         return false;
       }
       if (Info.CF->ThisClass != Name) {
@@ -374,28 +360,22 @@ StaticAnalyzer::envClassInfo(const std::string &Name) const {
   if (It != EnvCache.end())
     return It->second;
   EnvClassInfo Info;
-  if (const Bytes *Data = Env.lookup(Name)) {
-    Info.Exists = true;
-    auto Parsed = parseClassFile(*Data);
+  if (const ClassEntryRef *Entry = Env.entry(Name)) {
+    Info.Entry = *Entry;
+    const Result<ClassFile> &Parsed = Info.Entry->parsed();
     if (Parsed.ok()) {
-      Info.CF = Parsed.take();
+      Info.CF = &*Parsed;
       Info.FormatFailure = checkClassFormat(*Info.CF, Policy, nullptr);
-    } else {
-      Info.ParseError = Parsed.error();
     }
   }
   return EnvCache.emplace(Name, std::move(Info)).first->second;
 }
 
 std::optional<StaticAnalyzer::SimAbort>
-StaticAnalyzer::simulateFresh(const std::string &Name, const Bytes *Data,
+StaticAnalyzer::simulateFresh(const std::string &Name,
                               std::set<std::string> *Touched) const {
   SimState Sim(*this);
   Sim.Touched = Touched;
-  if (Data) {
-    Sim.OverlayName = &Name;
-    Sim.OverlayData = Data;
-  }
   if (!Sim.loadClass(Name))
     return Sim.Abort;
   Sim.linkClass(Name);
@@ -408,32 +388,26 @@ StaticAnalyzer::chainMemo(const std::string &Name) const {
   if (It != Memo.end())
     return It->second;
   ChainMemo Entry;
-  Entry.Abort = simulateFresh(Name, nullptr, &Entry.Touched);
+  Entry.Abort = simulateFresh(Name, &Entry.Touched);
   return Memo.emplace(Name, std::move(Entry)).first->second;
 }
 
 std::optional<StaticAnalyzer::SimAbort>
-StaticAnalyzer::simulate(const std::string &Name, const Bytes *Data,
-                         const ClassFile *CFIn,
+StaticAnalyzer::simulate(const std::string &Name, const ClassEntry *Overlay,
                          const std::optional<CheckFailure>
                              *FirstVerifyFailure) const {
-  if (!Data) {
+  if (!Overlay) {
     // Environment class: the memoized chain walk is the whole answer.
     return chainMemo(Name).Abort;
   }
   // Mutant overlay. The mutant's own load steps always run fresh; its
   // supertype chains reuse memoized walks when the overlay cannot have
   // influenced them (the mutant's name was never looked up).
-  std::optional<ClassFile> Owned;
-  if (!CFIn) {
-    auto Parsed = parseClassFile(*Data);
-    if (!Parsed.ok())
-      return SimAbort{JvmPhase::Loading, JvmErrorKind::ClassFormatError,
-                      Parsed.error(), Name};
-    Owned = Parsed.take();
-    CFIn = &*Owned;
-  }
-  const ClassFile &CF = *CFIn;
+  const Result<ClassFile> &Parsed = Overlay->parsed();
+  if (!Parsed.ok())
+    return SimAbort{JvmPhase::Loading, JvmErrorKind::ClassFormatError,
+                    Parsed.error(), Name};
+  const ClassFile &CF = *Parsed;
   if (CF.ThisClass != Name)
     return SimAbort{JvmPhase::Loading, JvmErrorKind::NoClassDefFoundError,
                     Name + " (wrong name: " + CF.ThisClass + ")", Name};
@@ -464,8 +438,7 @@ StaticAnalyzer::simulate(const std::string &Name, const Bytes *Data,
     // the mutant marked in-progress, exactly like Vm::loadClass does.
     SimState Sim(*this);
     Sim.OverlayName = &Name;
-    Sim.OverlayData = Data;
-    Sim.OverlayCF = &CF;
+    Sim.Overlay = Overlay;
     Sim.LoadingInProgress.insert(Name);
     if (!Sim.loadClass(Super))
       return Sim.Abort;
@@ -482,8 +455,7 @@ StaticAnalyzer::simulate(const std::string &Name, const Bytes *Data,
   // lookups see the overlay.
   SimState Sim(*this);
   Sim.OverlayName = &Name;
-  Sim.OverlayData = Data;
-  Sim.OverlayCF = &CF;
+  Sim.Overlay = Overlay;
   Sim.OverlayVerify = FirstVerifyFailure;
   Sim.linkOwnChecks(CF, Name);
   return Sim.Abort;
@@ -506,12 +478,23 @@ StaticAnalyzer::predictionFrom(const std::optional<SimAbort> &Abort) const {
 
 StartupPrediction
 StaticAnalyzer::predictStartupOutcome(const std::string &Name,
+                                      const ClassEntry &Entry) const {
+  return predictionFrom(simulate(Name, &Entry));
+}
+
+StartupPrediction
+StaticAnalyzer::predictStartupOutcome(const std::string &Name,
                                       const Bytes &Data) const {
-  return predictionFrom(simulate(Name, &Data));
+  return predictStartupOutcome(Name, ClassEntry(Data));
 }
 
 void StaticAnalyzer::addEnvironmentClass(const std::string &Name,
                                          Bytes Data) {
+  addEnvironmentClass(Name, makeClassEntry(std::move(Data)));
+}
+
+void StaticAnalyzer::addEnvironmentClass(const std::string &Name,
+                                         ClassEntryRef Entry) {
   // Capture the hierarchy edges this redefinition rewires before the
   // caches forget them: sibling sets keyed off both the old and the
   // new parent change. Only needed once typed holes are in play --
@@ -523,11 +506,11 @@ void StaticAnalyzer::addEnvironmentClass(const std::string &Name,
     if (auto CacheIt = EnvCache.find(Name);
         CacheIt != EnvCache.end() && CacheIt->second.CF)
       OldParent = CacheIt->second.CF->SuperClass;
-    if (auto Parsed = parseClassFile(Data); Parsed.ok())
-      NewParent = Parsed.take().SuperClass;
+    if (const Result<ClassFile> &Parsed = Entry->parsed(); Parsed.ok())
+      NewParent = Parsed->SuperClass;
   }
 
-  Env.add(Name, std::move(Data));
+  Env.add(Name, std::move(Entry));
   EnvCache.erase(Name);
   // Touched records every environment lookup -- hits and misses alike
   // -- so "Touched contains Name" is exactly "this walk could now
@@ -871,7 +854,7 @@ void StaticAnalyzer::runCodeShapePass(const ClassFile &CF,
 }
 
 void StaticAnalyzer::runTypeCheckPass(
-    const ClassFile &CF, const std::string &Name, const Bytes *Data,
+    const ClassFile &CF, const std::string &Name, const ClassEntry *Overlay,
     std::vector<Diagnostic> &Out,
     std::optional<CheckFailure> *FirstVerifyFailure) const {
   // Full dataflow verification of every method -- the VM stops at the
@@ -879,10 +862,9 @@ void StaticAnalyzer::runTypeCheckPass(
   if (FirstVerifyFailure)
     FirstVerifyFailure->reset();
   SimState Sim(*this);
-  if (Data) {
+  if (Overlay) {
     Sim.OverlayName = &Name;
-    Sim.OverlayData = Data;
-    Sim.OverlayCF = &CF;
+    Sim.Overlay = Overlay;
   }
   // Self-references resolve to the class under analysis even when its
   // recorded name differs from the lookup name.
@@ -1000,10 +982,15 @@ void StaticAnalyzer::runHierarchyPass(const ClassFile &CF,
 
 AnalysisReport StaticAnalyzer::analyzeClass(const std::string &Name,
                                             const Bytes &Data) const {
+  return analyzeClass(Name, ClassEntry(Data));
+}
+
+AnalysisReport StaticAnalyzer::analyzeClass(const std::string &Name,
+                                            const ClassEntry &Entry) const {
   AnalysisReport Report;
   Report.ClassName = Name;
 
-  auto Parsed = parseClassFile(Data);
+  const Result<ClassFile> &Parsed = Entry.parsed();
   if (!Parsed.ok()) {
     Diagnostic D;
     D.Pass = PassId::Parse;
@@ -1016,7 +1003,7 @@ AnalysisReport StaticAnalyzer::analyzeClass(const std::string &Name,
     Report.Prediction.Message = Parsed.error();
     return Report;
   }
-  ClassFile CF = Parsed.take();
+  const ClassFile &CF = *Parsed;
   Report.Parsed = true;
 
   if (CF.ThisClass != Name) {
@@ -1033,18 +1020,18 @@ AnalysisReport StaticAnalyzer::analyzeClass(const std::string &Name,
   runFormatPass(CF, Report.Diagnostics);
   runCodeShapePass(CF, Report.Diagnostics);
   std::optional<CheckFailure> FirstVerifyFailure;
-  runTypeCheckPass(CF, Name, &Data, Report.Diagnostics, &FirstVerifyFailure);
+  runTypeCheckPass(CF, Name, &Entry, Report.Diagnostics,
+                   &FirstVerifyFailure);
 
-  std::optional<SimAbort> Abort =
-      simulate(Name, &Data, &CF, &FirstVerifyFailure);
+  std::optional<SimAbort> Abort = simulate(Name, &Entry, &FirstVerifyFailure);
   runHierarchyPass(CF, Name, Abort, Report.Diagnostics);
   Report.Prediction = predictionFrom(Abort);
   return Report;
 }
 
 AnalysisReport StaticAnalyzer::analyzeClass(const std::string &Name) const {
-  const Bytes *Data = Env.lookup(Name);
-  if (!Data) {
+  const ClassEntryRef *Entry = Env.entry(Name);
+  if (!Entry) {
     AnalysisReport Report;
     Report.ClassName = Name;
     Diagnostic D;
@@ -1058,7 +1045,7 @@ AnalysisReport StaticAnalyzer::analyzeClass(const std::string &Name) const {
     Report.Prediction.Message = Name;
     return Report;
   }
-  return analyzeClass(Name, *Data);
+  return analyzeClass(Name, **Entry);
 }
 
 std::string StaticAnalyzer::renderAnnotated(const AnalysisReport &Report,

@@ -106,6 +106,12 @@ public:
   AnalysisReport analyzeClass(const std::string &Name,
                               const Bytes &Data) const;
 
+  /// analyzeClass(Name, Data) over \p Entry's bytes, reading its parse
+  /// instead of making one (the campaign hands in the entry its
+  /// execution stage already parsed).
+  AnalysisReport analyzeClass(const std::string &Name,
+                              const ClassEntry &Entry) const;
+
   /// Analyzes a class already present in the environment.
   AnalysisReport analyzeClass(const std::string &Name) const;
 
@@ -114,12 +120,18 @@ public:
   /// looked \p Name up -- including misses -- are invalidated; walks
   /// that never touched the name stay valid.
   void addEnvironmentClass(const std::string &Name, Bytes Data);
+  /// Same, sharing \p Entry (and its parse) with the caller's
+  /// environments.
+  void addEnvironmentClass(const std::string &Name, ClassEntryRef Entry);
 
   /// Prediction only -- the load/link simulation without the exhaustive
   /// lint passes. This is the cheap triage path the paper's filtering
   /// step wants.
   StartupPrediction predictStartupOutcome(const std::string &Name,
                                           const Bytes &Data) const;
+  /// Same, over \p Entry's bytes and parse.
+  StartupPrediction predictStartupOutcome(const std::string &Name,
+                                          const ClassEntry &Entry) const;
 
   /// Typed mutation sites of an environment class, memoized per name.
   /// Same invalidation contract as the chain memo: addEnvironmentClass
@@ -150,15 +162,16 @@ private:
     std::optional<SimAbort> Abort;
     std::set<std::string> Touched; ///< Every name the chain walk used.
   };
-  /// Per-environment-class artifacts every simulation shares: the parse
-  /// result (or its error) and the loading-phase format check, each
-  /// computed at most once per class per analyzer. This is what makes
-  /// triaging a campaign of mutants cheap -- the runtime library is
-  /// parsed once, not once per mutant.
+  /// Per-environment-class artifacts every simulation shares: the
+  /// environment entry (whose parse, made once and shared with every Vm
+  /// on the same entries, holds the class or its error) and the
+  /// loading-phase format check, computed at most once per class per
+  /// analyzer. This is what makes triaging a campaign of mutants cheap
+  /// -- the runtime library is parsed and checked once, not once per
+  /// mutant.
   struct EnvClassInfo {
-    bool Exists = false;
-    std::optional<ClassFile> CF; ///< nullopt when the parse failed.
-    std::string ParseError;
+    ClassEntryRef Entry;          ///< Null when the class is absent.
+    const ClassFile *CF = nullptr; ///< Null when absent or unparseable.
     std::optional<CheckFailure> FormatFailure;
   };
   struct SimState;
@@ -186,17 +199,15 @@ private:
   HoleEnv holeEnv(std::set<std::string> *Touched,
                   std::set<std::string> *SiblingParents) const;
 
-  /// \p CF, when given, is \p Data already parsed (skips a re-parse);
+  /// \p Overlay, when given, shadows \p Name (a mutant);
   /// \p FirstVerifyFailure, when given, is the precomputed result of
-  /// the eager per-method verification loop over \p CF (points to the
-  /// first failure, or to nullopt when every method verifies).
+  /// the eager per-method verification loop over its class (points to
+  /// the first failure, or to nullopt when every method verifies).
   std::optional<SimAbort>
-  simulate(const std::string &Name, const Bytes *Data,
-           const ClassFile *CF = nullptr,
+  simulate(const std::string &Name, const ClassEntry *Overlay,
            const std::optional<CheckFailure> *FirstVerifyFailure =
                nullptr) const;
   std::optional<SimAbort> simulateFresh(const std::string &Name,
-                                        const Bytes *Data,
                                         std::set<std::string> *Touched) const;
   const ChainMemo &chainMemo(const std::string &Name) const;
   StartupPrediction predictionFrom(const std::optional<SimAbort> &Abort) const;
@@ -211,7 +222,8 @@ private:
   /// method's failure (or nullopt) so the simulation can reuse it
   /// instead of re-verifying every method.
   void runTypeCheckPass(const ClassFile &CF, const std::string &Name,
-                        const Bytes *Data, std::vector<Diagnostic> &Out,
+                        const ClassEntry *Overlay,
+                        std::vector<Diagnostic> &Out,
                         std::optional<CheckFailure> *FirstVerifyFailure =
                             nullptr) const;
   void runHierarchyPass(const ClassFile &CF, const std::string &Name,
@@ -224,7 +236,7 @@ private:
   /// entry is reusable for a mutant only when the mutant's name is not
   /// in its Touched set (the overlay would shadow that lookup).
   mutable std::map<std::string, ChainMemo> Memo;
-  /// Parse/format cache for environment classes (node-stable, so
+  /// Entry/format cache for environment classes (node-stable, so
   /// pointers into it survive later insertions). Invalidated per-name
   /// by addEnvironmentClass.
   mutable std::map<std::string, EnvClassInfo> EnvCache;

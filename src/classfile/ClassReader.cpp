@@ -2,6 +2,8 @@
 
 #include "classfile/ClassReader.h"
 
+#include "telemetry/Telemetry.h"
+
 using namespace classfuzz;
 
 namespace {
@@ -363,5 +365,12 @@ Result<ClassFile> Parser::run() {
 } // namespace
 
 Result<ClassFile> classfuzz::parseClassFile(const Bytes &Data) {
+  // Exact work counter: one per parse, whoever asks. ClassEntry makes
+  // it jobs-invariant by parsing each shared entry exactly once.
+  if (telemetry::enabled()) {
+    static telemetry::Counter &Parsed =
+        telemetry::metrics().counter("work.classes_parsed");
+    Parsed.inc();
+  }
   return Parser(Data).run();
 }

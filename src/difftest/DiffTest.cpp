@@ -10,6 +10,7 @@
 #include "telemetry/Telemetry.h"
 
 #include <array>
+#include <map>
 #include <optional>
 
 using namespace classfuzz;
@@ -76,12 +77,17 @@ DifferentialTester::DifferentialTester(std::vector<ProfileDesc> Profiles,
     Envs.assign(this->Profiles.size(), Shared);
     return;
   }
-  // Tier-diff pairs share the reference policy, so their environments
-  // are COW copies of the same runtime library -- no extra I/O.
+  // Profiles on the same runtime-library version (the tier-diff pair,
+  // HotSpot 8 and J9) share one environment, so each library class is
+  // built and parsed once per version, not once per profile.
+  std::map<std::string, ClassPath> ByLib;
   for (const ProfileDesc &P : this->Profiles) {
-    ClassPath Env = runtimeLibraryFor(P.Policy).overlaidWith(Extra);
-    Env.freeze();
-    Envs.push_back(std::move(Env));
+    auto [It, New] = ByLib.try_emplace(P.Policy.RuntimeLib);
+    if (New) {
+      It->second = runtimeLibraryFor(P.Policy).overlaidWith(Extra);
+      It->second.freeze();
+    }
+    Envs.push_back(It->second);
   }
 }
 
@@ -154,8 +160,8 @@ DifferentialTester DifferentialTester::withTieredProfiles(
   return T;
 }
 
-DiffOutcome DifferentialTester::runProfiles(const std::string &Name,
-                                            const Bytes *Data) const {
+DiffOutcome DifferentialTester::runProfiles(
+    const std::string &Name, const std::vector<ClassEntryRef> &Entries) const {
   namespace tm = classfuzz::telemetry;
   const bool Telemetry = tm::enabled();
   static tm::Histogram &WallNs =
@@ -184,20 +190,13 @@ DiffOutcome DifferentialTester::runProfiles(const std::string &Name,
   for (size_t I = 0; I != Profiles.size(); ++I) {
     CoverageRecorder Recorder;
     CoverageRecorder *Cov = CollectCoverage ? &Recorder : nullptr;
-    int Code;
-    if (Data) {
-      ClassPath Env = Envs[I]; // COW overlay: shares the frozen corpus.
-      Env.add(Name, *Data);
-      Vm Jvm(Profiles[I].Policy, Env, Cov);
-      JvmResult R = Jvm.run(Name);
-      Code = encodePhase(R);
-      Out.Results.push_back(std::move(R));
-    } else {
-      Vm Jvm(Profiles[I].Policy, Envs[I], Cov);
-      JvmResult R = Jvm.run(Name);
-      Code = encodePhase(R);
-      Out.Results.push_back(std::move(R));
-    }
+    ClassPath Env = Envs[I]; // COW overlay: shares the frozen corpus.
+    if (Entries[I])
+      Env.add(Name, Entries[I]);
+    Vm Jvm(Profiles[I].Policy, Env, Cov);
+    JvmResult R = Jvm.run(Name);
+    const int Code = encodePhase(R);
+    Out.Results.push_back(std::move(R));
     if (CollectCoverage)
       Out.Traces.push_back(Recorder.takeTrace());
     if (Flight &&
@@ -249,12 +248,27 @@ DiffOutcome DifferentialTester::runProfiles(const std::string &Name,
 }
 
 DiffOutcome DifferentialTester::testClass(const std::string &Name) const {
-  return runProfiles(Name, nullptr);
+  // Shadow the frozen corpus entry with a fresh copy that dies with this
+  // call. Parsing through the corpus entry would keep its parse (~11x
+  // the bytes) resident for the tester's lifetime. Profiles whose
+  // environments hold the same entry share one copy, so the class is
+  // parsed once per call whatever the profile count.
+  std::vector<ClassEntryRef> Entries(Profiles.size());
+  std::map<const ClassEntry *, ClassEntryRef> Copies;
+  for (size_t I = 0; I != Profiles.size(); ++I)
+    if (const ClassEntryRef *Frozen = Envs[I].entry(Name)) {
+      ClassEntryRef &Copy = Copies[Frozen->get()];
+      if (!Copy)
+        Copy = makeClassEntry((*Frozen)->bytes());
+      Entries[I] = Copy;
+    }
+  return runProfiles(Name, Entries);
 }
 
 DiffOutcome DifferentialTester::testClass(const std::string &Name,
                                           const Bytes &Data) const {
-  return runProfiles(Name, &Data);
+  return runProfiles(
+      Name, std::vector<ClassEntryRef>(Profiles.size(), makeClassEntry(Data)));
 }
 
 void DiffStats::add(const DiffOutcome &Outcome) {

@@ -140,6 +140,11 @@ public:
 
   /// Runs `java <Name>` on every profile.
   ///
+  /// The class under test runs from a fresh copy of its corpus entry,
+  /// parsed once per call and dropped with it; the corpus and library
+  /// classes it loads are parsed once per tester, by whichever call
+  /// needs them first.
+  ///
   /// Thread-safe: the per-profile environments are frozen at
   /// construction, and each call works on an O(1) copy-on-write
   /// ClassPath copy plus a call-local Vm. The reducer's parallel probe
@@ -151,7 +156,8 @@ public:
   /// touches the global streams.
   DiffOutcome testClass(const std::string &Name) const;
 
-  /// Runs a class not present in the corpus by overlaying its bytes.
+  /// Runs a class not present in the corpus by overlaying its bytes as
+  /// one entry shared by every profile (parsed once per call).
   /// Thread-safe under the same contract as testClass(Name).
   DiffOutcome testClass(const std::string &Name, const Bytes &Data) const;
 
@@ -170,9 +176,11 @@ public:
   }
 
 private:
-  /// Shared run-and-encode loop; \p Data overlays the environments when
-  /// non-null.
-  DiffOutcome runProfiles(const std::string &Name, const Bytes *Data) const;
+  /// Shared run-and-encode loop: profile I runs with \p Entries[I]
+  /// overlaid as \p Name (no overlay when null). One entry shared by all
+  /// profiles parses the class under test once per batch.
+  DiffOutcome runProfiles(const std::string &Name,
+                          const std::vector<ClassEntryRef> &Entries) const;
 
   std::vector<ProfileDesc> Profiles;
   std::vector<JvmPolicy> PolicyView; ///< policies() compatibility view.

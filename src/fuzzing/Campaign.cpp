@@ -177,13 +177,17 @@ bool usesCoverage(FuzzAlgorithm Algo) {
   return Algo != FuzzAlgorithm::Randfuzz;
 }
 
-/// The mutation pool holds (name, bytes) copies; seeds also prime the
-/// uniqueness pool so mutants must differ from them. Each entry carries
-/// its lineage so descendants extend the chain (seeds have no steps).
+/// The mutation pool holds (name, class entry) pairs; seeds also prime
+/// the uniqueness pool so mutants must differ from them. The entry is
+/// the one the campaign's environments hold (its bytes are shared, and
+/// mutation reads only the bytes). Each pool entry carries its lineage
+/// so descendants extend the chain (seeds have no steps).
 struct PoolEntry {
   std::string Name;
-  Bytes Data;
+  ClassEntryRef Entry;
   Provenance Prov;
+
+  const Bytes &data() const { return Entry->bytes(); }
 };
 
 /// Packs a committed iteration's outcome for FlightKind::Iteration:
@@ -306,17 +310,35 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
                      ? generateSeedCorpus(R, Config.NumSeeds)
                      : Config.ExternalSeeds;
 
+  // Every environment below (the reference one and one per δ profile)
+  // shares one entry per corpus class and one runtime library per
+  // version, so each class's bytes are stored once and parsed at most
+  // once, whichever environment needs it first.
+  std::vector<std::pair<std::string, ClassEntryRef>> CorpusEntries;
+  std::vector<ClassEntryRef> SeedEntries;
+  for (const SeedClass &Seed : Result.Seeds) {
+    SeedEntries.push_back(makeClassEntry(Seed.Data));
+    CorpusEntries.emplace_back(Seed.Name, SeedEntries.back());
+    for (const auto &[Name, Data] : Seed.Helpers)
+      CorpusEntries.emplace_back(Name, makeClassEntry(Data));
+  }
+  std::map<std::string, ClassPath> Libraries;
+  auto corpusEnvFor = [&](const JvmPolicy &P) {
+    auto [It, New] = Libraries.try_emplace(P.RuntimeLib);
+    if (New)
+      It->second = runtimeLibraryFor(P);
+    ClassPath Env = It->second;
+    for (const auto &[Name, Entry] : CorpusEntries)
+      Env.add(Name, Entry);
+    // Seal the base corpus: per-mutant environments below are then
+    // cheap copy-on-write overlays instead of O(corpus) deep copies.
+    Env.freeze();
+    return Env;
+  };
+
   // The reference environment: reference JRE + the whole corpus. Mutants
   // are added as they are accepted so later runs can reference them.
-  ClassPath RefEnv = runtimeLibraryFor(Config.ReferencePolicy);
-  for (const SeedClass &Seed : Result.Seeds) {
-    RefEnv.add(Seed.Name, Seed.Data);
-    for (const auto &[Name, Data] : Seed.Helpers)
-      RefEnv.add(Name, Data);
-  }
-  // Seal the base corpus: per-mutant environments below are then cheap
-  // copy-on-write overlays instead of O(corpus) deep copies.
-  RefEnv.freeze();
+  ClassPath RefEnv = corpusEnvFor(Config.ReferencePolicy);
 
   std::vector<std::string> KnownClasses = RefEnv.names();
   MutationContext Ctx{R, KnownClasses};
@@ -409,16 +431,8 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
       DdRefIndex = DdPolicies.size();
       DdPolicies.push_back(Config.ReferencePolicy);
     }
-    for (const JvmPolicy &P : DdPolicies) {
-      ClassPath Env = runtimeLibraryFor(P);
-      for (const SeedClass &Seed : Result.Seeds) {
-        Env.add(Seed.Name, Seed.Data);
-        for (const auto &[Name, Data] : Seed.Helpers)
-          Env.add(Name, Data);
-      }
-      Env.freeze();
-      DdEnvs.push_back(std::move(Env));
-    }
+    for (const JvmPolicy &P : DdPolicies)
+      DdEnvs.push_back(corpusEnvFor(P));
   }
 
   // Tier-diff axis (--tier-diff): the reference policy pinned to its
@@ -452,13 +466,14 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
       Jit.merge(*S);
   };
 
-  /// Runs \p Name on the reference JVM, collecting coverage and the
-  /// encoded startup phase (plus the tier pair when --tier-diff is on).
+  /// Runs \p Name (entry \p Entry) on the reference JVM, collecting
+  /// coverage and the encoded startup phase (plus the tier pair when
+  /// --tier-diff is on). All runs read the one parse of \p Entry.
   auto coverageOf = [&](const std::string &Name,
-                        const Bytes &Data) -> RefRun {
+                        const ClassEntryRef &Entry) -> RefRun {
     CoverageRecorder Recorder;
     ClassPath Env = RefEnv; // COW overlay: shares the frozen corpus.
-    Env.add(Name, Data);
+    Env.add(Name, Entry);
     Vm Jvm(Config.ReferencePolicy, Env, &Recorder);
     JvmResult RunResult = Jvm.run(Name);
     RefRun Run;
@@ -469,13 +484,15 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     return Run;
   };
 
-  /// Runs \p Name (bytes \p Data) on every profile with coverage on,
+  /// Runs \p Name (entry \p Entry) on every profile with coverage on,
   /// building the δ-diversity batch observation. Each profile sees an
-  /// O(1) COW overlay of its environment.
-  auto ddRunOf = [&](const std::string &Name, const Bytes &Data) -> DdRun {
+  /// O(1) COW overlay of its environment holding the same entry, so the
+  /// batch parses the class once.
+  auto ddRunOf = [&](const std::string &Name,
+                     const ClassEntryRef &Entry) -> DdRun {
     std::vector<ClassPath> Envs = DdEnvs;
     for (ClassPath &E : Envs)
-      E.add(Name, Data);
+      E.add(Name, Entry);
     DdRun Run;
     Run.Obs.reserve(DdPolicies.size());
     Run.Encoded.reserve(DdPolicies.size());
@@ -675,22 +692,24 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   };
 
   // TestClasses <- Seeds (Algorithm 1 line 1). Seeds root the lineage
-  // chains: a seed's provenance is itself (no steps).
+  // chains: a seed's provenance is itself (no steps). A seed's
+  // registration batch runs it from a fresh entry, so the parse dies
+  // with the batch instead of staying resident in the corpus entry.
   std::vector<PoolEntry> Pool;
   for (size_t SeedIndex = 0; SeedIndex != Result.Seeds.size(); ++SeedIndex) {
     const SeedClass &Seed = Result.Seeds[SeedIndex];
     Provenance Prov;
     Prov.RootSeedIndex = SeedIndex;
     Prov.RootSeedName = Seed.Name;
-    Pool.push_back({Seed.Name, Seed.Data, std::move(Prov)});
+    Pool.push_back({Seed.Name, SeedEntries[SeedIndex], std::move(Prov)});
     if (DdMode) {
-      DdRun Run = ddRunOf(Seed.Name, Seed.Data);
+      DdRun Run = ddRunOf(Seed.Name, makeClassEntry(Seed.Data));
       frontierSeed(SeedIndex, Seed.Name, Run.RefTrace, Run.RefPhase);
       Accept.registerSeedDd(Run.Obs);
       Sched.addEntry(Run.RefTrace);
       Sched.noteTrace(Run.RefTrace);
     } else if (Coverage) {
-      RefRun Run = coverageOf(Seed.Name, Seed.Data);
+      RefRun Run = coverageOf(Seed.Name, makeClassEntry(Seed.Data));
       frontierSeed(SeedIndex, Seed.Name, Run.Trace, Run.Phase);
       Accept.registerSeed(Run.Trace);
       Sched.addEntry(Run.Trace);
@@ -735,8 +754,8 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   /// self-check report. Nothing here is allowed to touch the RNG, the
   /// selector, or the acceptance state.
   auto analyzeCommitted = [&](const GeneratedClass &Stored,
-                              size_t GenIndex) {
-    AnalysisReport Rep = Analyzer->analyzeClass(Stored.Name, Stored.Data);
+                              const ClassEntry &Entry, size_t GenIndex) {
+    AnalysisReport Rep = Analyzer->analyzeClass(Stored.Name, Entry);
     MutantAnalysisRecord Rec;
     Rec.GenIndex = GenIndex;
     Rec.Outcome = Rep.Prediction.Outcome;
@@ -777,13 +796,13 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   /// execution can be skipped. Also decides audit-sample membership (a
   /// pure function of the mutant bytes). Runs against the committed
   /// environment; never draws from the RNG.
-  auto prefilterVerdict = [&](const GeneratedClass &G, bool &Audited,
-                              int &PredictedPhase) -> bool {
+  auto prefilterVerdict = [&](const GeneratedClass &G, const ClassEntry &Entry,
+                              bool &Audited, int &PredictedPhase) -> bool {
     Audited = false;
     PredictedPhase = -1;
     if (!PrefilterOn)
       return false;
-    StartupPrediction Pred = Analyzer->predictStartupOutcome(G.Name, G.Data);
+    StartupPrediction Pred = Analyzer->predictStartupOutcome(G.Name, Entry);
     if (Pred.Outcome == PredictedOutcome::PassStatic)
       return false;
     PredictedPhase = Pred.predictedPhase();
@@ -797,8 +816,8 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   /// when the skip was not in the audit sample); a prediction the
   /// observation contradicts is an analyzer bug and latches the full
   /// report, exactly like the --analyze predict-vs-observe oracle.
-  auto commitPrefilterSkip = [&](int PredictedPhase, bool Audited,
-                                 int ObservedPhase) {
+  auto commitPrefilterSkip = [&](const ClassEntry &Entry, int PredictedPhase,
+                                 bool Audited, int ObservedPhase) {
     ++Result.PrefilterSkipped;
     if (Telem)
       TM.PrefilterSkipped.inc();
@@ -815,8 +834,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     const size_t GenIndex = Result.GenClasses.size() - 1;
     const GeneratedClass &Stored = Result.GenClasses[GenIndex];
     Result.SelfChecks.push_back(
-        {GenIndex, ObservedPhase,
-         Analyzer->analyzeClass(Stored.Name, Stored.Data)});
+        {GenIndex, ObservedPhase, Analyzer->analyzeClass(Stored.Name, Entry)});
   };
 
   /// Commit-stage accounting for a produced mutant the pre-filter let
@@ -905,10 +923,11 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
           .emit();
   };
 
-  /// Commits one produced, coverage-checked mutant: acceptance
-  /// bookkeeping plus the Algorithm 1 line 14 feedback loop. Returns
-  /// whether the mutant was representative.
-  auto commitProduced = [&](GeneratedClass &&G, size_t IterIndex) {
+  /// Commits one produced, coverage-checked mutant (\p Entry: the
+  /// iteration's entry over its bytes): acceptance bookkeeping plus the
+  /// Algorithm 1 line 14 feedback loop.
+  auto commitProduced = [&](GeneratedClass &&G, const ClassEntry &Entry,
+                            size_t IterIndex) {
     bool Representative = G.Representative;
     if (Representative)
       ++Result.MutatorSucceeded[G.MutatorIndex];
@@ -928,7 +947,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     // mutant itself joins the corpus. (--prefilter alone constructs the
     // analyzer too, but only --analyze asks for the full lint record.)
     if (Analyzer && Config.RunAnalysis)
-      analyzeCommitted(Stored, Result.GenClasses.size() - 1);
+      analyzeCommitted(Stored, Entry, Result.GenClasses.size() - 1);
     // Every produced run's coverage ages the scheduler's hit table
     // (no-op for randfuzz, whose traces are empty).
     Sched.noteTrace(Stored.Trace);
@@ -938,17 +957,21 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
                 Result.GenClasses.size() - 1, hashBytes(Stored.Data));
       // Line 14: representative mutants become seeds; they also join
       // the reference environment so later mutants can reference them.
-      RefEnv.add(Stored.Name, Stored.Data);
+      // One fresh entry serves every environment and the pool; it is
+      // not the iteration's entry, whose parse (~11x the bytes) would
+      // otherwise stay resident for the rest of the campaign.
+      ClassEntryRef Accepted = makeClassEntry(Stored.Data);
+      RefEnv.add(Stored.Name, Accepted);
       RefEnv.freeze(); // Keep per-mutant overlay copies O(1).
       // The δ batch environments track the corpus the same way.
       for (ClassPath &E : DdEnvs) {
-        E.add(Stored.Name, Stored.Data);
+        E.add(Stored.Name, Accepted);
         E.freeze();
       }
       if (Analyzer)
-        Analyzer->addEnvironmentClass(Stored.Name, Stored.Data);
+        Analyzer->addEnvironmentClass(Stored.Name, Accepted);
       if (Config.FeedbackAcceptedMutants) {
-        Pool.push_back({Stored.Name, Stored.Data, Stored.Prov});
+        Pool.push_back({Stored.Name, Accepted, Stored.Prov});
         // Mirror the pool 1:1 (randfuzz has no trace to register).
         if (Coverage)
           Sched.addEntry(Stored.Trace);
@@ -983,11 +1006,11 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     // and re-applying the mutator re-derives the mutant bytes. The
     // typed-hole list (null unless --typed-mutators) is extracted
     // RNG-free, so it cannot perturb the snapshot.
-    Ctx.Holes = holesFor(Pool[PoolIndex].Name, Pool[PoolIndex].Data);
+    Ctx.Holes = holesFor(Pool[PoolIndex].Name, Pool[PoolIndex].data());
     RngState RngBefore = R.state();
     telemetry::PhaseTimer MutT(TM.MutateNs, "mutate");
     MutationOutcome Mutant =
-        mutateClass(Pool[PoolIndex].Data, MutatorIndex, Ctx);
+        mutateClass(Pool[PoolIndex].data(), MutatorIndex, Ctx);
     MutT.stop();
     recordMutation(MutatorIndex, Mutant.Result, Mutant.Produced);
     if (!Mutant.Produced) {
@@ -1008,6 +1031,10 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     G.Prov = Pool[PoolIndex].Prov;
     G.Prov.Steps.push_back(
         {MutatorIndex, RngBefore, R.drawCount() - RngBefore.Draws});
+    // The mutant's one entry for this iteration: the pre-filter, every
+    // execution-stage run and the commit-stage analyzer read its single
+    // parse, which dies with the iteration.
+    const ClassEntryRef MutantEntry = makeClassEntry(G.Data);
 
     // Analyzer pre-filter (--prefilter): mutants statically proven
     // dead in loading/linking skip execution and commit as
@@ -1017,12 +1044,12 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     // of the audit fraction.
     bool PfAudited = false;
     int PfPredicted = -1;
-    if (prefilterVerdict(G, PfAudited, PfPredicted)) {
+    if (prefilterVerdict(G, *MutantEntry, PfAudited, PfPredicted)) {
       int Observed = -1;
       if (PfAudited) {
         telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
-        Observed = DdMode ? ddRunOf(G.Name, G.Data).RefPhase
-                          : coverageOf(G.Name, G.Data).Phase;
+        Observed = DdMode ? ddRunOf(G.Name, MutantEntry).RefPhase
+                          : coverageOf(G.Name, MutantEntry).Phase;
       }
       if (Mcmc)
         Selector.recordOutcome(MutatorIndex, false);
@@ -1033,9 +1060,9 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
                 packIterationOutcome(Mutant.Result, true, false));
       {
         telemetry::PhaseTimer CommitT(TM.CommitNs, "commit");
-        commitProduced(std::move(G), Iter);
+        commitProduced(std::move(G), *MutantEntry, Iter);
       }
-      commitPrefilterSkip(PfPredicted, PfAudited, Observed);
+      commitPrefilterSkip(*MutantEntry, PfPredicted, PfAudited, Observed);
       observeCommitted(Iter + 1, &Result.GenClasses.back(), false, false);
       maybeProgress(Iter + 1);
       continue;
@@ -1048,7 +1075,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
     bool DdDiscrepancy = false;
     if (DdMode) {
       telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
-      DdRun Run = ddRunOf(G.Name, G.Data);
+      DdRun Run = ddRunOf(G.Name, MutantEntry);
       ExecT.stop();
       G.Trace = std::move(Run.RefTrace);
       G.RefPhase = Run.RefPhase;
@@ -1061,7 +1088,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
       recordTierBatch(G, Run.TierEncoded, Run.TierJit);
     } else if (Coverage) {
       telemetry::PhaseTimer ExecT(TM.ExecuteNs, "execute");
-      RefRun Run = coverageOf(G.Name, G.Data);
+      RefRun Run = coverageOf(G.Name, MutantEntry);
       ExecT.stop();
       G.Trace = std::move(Run.Trace);
       G.RefPhase = Run.Phase;
@@ -1086,7 +1113,7 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
               packIterationOutcome(Mutant.Result, true, Representative));
     {
       telemetry::PhaseTimer CommitT(TM.CommitNs, "commit");
-      commitProduced(std::move(G), Iter);
+      commitProduced(std::move(G), *MutantEntry, Iter);
     }
     const GeneratedClass &Stored = Result.GenClasses.back();
     const bool TierDisagree = Stored.TierEncoded.size() == 2 &&

@@ -2,18 +2,31 @@
 
 #include "jvm/ClassPath.h"
 
+#include "classfile/ClassReader.h"
 #include "support/Hashing.h"
 #include "telemetry/Telemetry.h"
 
 using namespace classfuzz;
 
-void ClassPath::add(const std::string &InternalName, Bytes Data) {
-  if (!has(InternalName))
-    ++NumDistinct;
-  Overlay[InternalName] = std::move(Data);
+const Result<ClassFile> &ClassEntry::parsed() const {
+  std::call_once(Once, [this] {
+    Parse = std::make_unique<const Result<ClassFile>>(parseClassFile(Data));
+  });
+  return *Parse;
 }
 
-const Bytes *ClassPath::lookup(const std::string &InternalName) const {
+void ClassPath::add(const std::string &InternalName, Bytes Data) {
+  add(InternalName, makeClassEntry(std::move(Data)));
+}
+
+void ClassPath::add(const std::string &InternalName, ClassEntryRef Entry) {
+  if (!has(InternalName))
+    ++NumDistinct;
+  Overlay[InternalName] = std::move(Entry);
+}
+
+const ClassEntryRef *
+ClassPath::entry(const std::string &InternalName) const {
   auto It = Overlay.find(InternalName);
   if (It != Overlay.end())
     return &It->second;
@@ -25,8 +38,8 @@ const Bytes *ClassPath::lookup(const std::string &InternalName) const {
   return nullptr;
 }
 
-std::map<std::string, const Bytes *> ClassPath::mergedView() const {
-  std::map<std::string, const Bytes *> Out;
+std::map<std::string, const ClassEntryRef *> ClassPath::mergedView() const {
+  std::map<std::string, const ClassEntryRef *> Out;
   // Oldest layer first so newer entries overwrite older ones.
   std::vector<const Layer *> Layers;
   for (const Layer *L = Base.get(); L; L = L->Parent.get())
@@ -42,24 +55,24 @@ std::map<std::string, const Bytes *> ClassPath::mergedView() const {
 std::vector<std::string> ClassPath::names() const {
   std::vector<std::string> Out;
   Out.reserve(NumDistinct);
-  for (const auto &[Name, Data] : mergedView())
+  for (const auto &[Name, Entry] : mergedView())
     Out.push_back(Name);
   return Out;
 }
 
 uint64_t ClassPath::fingerprint() const {
   Hasher H;
-  for (const auto &[Name, Data] : mergedView()) {
+  for (const auto &[Name, Entry] : mergedView()) {
     H.addString(Name);
-    H.addU64(hashBytes(*Data));
+    H.addU64(hashBytes((*Entry)->bytes()));
   }
   return H.value();
 }
 
 ClassPath ClassPath::overlaidWith(const ClassPath &Overlay) const {
   ClassPath Out = *this;
-  for (const auto &[Name, Data] : Overlay.mergedView())
-    Out.add(Name, *Data);
+  for (const auto &[Name, Entry] : Overlay.mergedView())
+    Out.add(Name, *Entry);
   return Out;
 }
 
@@ -82,12 +95,12 @@ void ClassPath::freeze() {
     // Both maps are sorted: walk the insertion hint forward so the
     // merge is linear in the two sizes.
     auto Hint = Top->Classes.begin();
-    for (const auto &[Name, Data] : Parent->Classes) {
+    for (const auto &[Name, Entry] : Parent->Classes) {
       while (Hint != Top->Classes.end() && Hint->first < Name)
         ++Hint;
       if (Hint != Top->Classes.end() && Hint->first == Name)
         continue; // Shadowed by a newer layer.
-      Top->Classes.emplace_hint(Hint, Name, Data);
+      Top->Classes.emplace_hint(Hint, Name, Entry);
       ++Copied;
     }
     Parent = Parent->Parent;

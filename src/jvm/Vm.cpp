@@ -2,7 +2,6 @@
 
 #include "jvm/Vm.h"
 
-#include "classfile/ClassReader.h"
 #include "classfile/Descriptor.h"
 #include "coverage/Probes.h"
 #include "jvm/ExecEngine.h"
@@ -132,25 +131,11 @@ void Vm::abort(JvmPhase Phase, JvmErrorKind Kind, std::string Message) {
 }
 
 const ClassFile *Vm::lookupClassFile(const std::string &Name) {
-  auto LoadedIt = Classes.find(Name);
-  if (LoadedIt != Classes.end())
-    return &LoadedIt->second->CF;
-  auto CacheIt = ParsedCache.find(Name);
-  if (CacheIt != ParsedCache.end())
-    return CacheIt->second ? &*CacheIt->second : nullptr;
-  const Bytes *Data = Env.lookup(Name);
-  if (!Data) {
-    ParsedCache.emplace(Name, std::nullopt);
+  const ClassEntryRef *Entry = Env.entry(Name);
+  if (!Entry)
     return nullptr;
-  }
-  auto Parsed = parseClassFile(*Data);
-  if (!Parsed) {
-    ParsedCache.emplace(Name, std::nullopt);
-    return nullptr;
-  }
-  auto [It, Inserted] = ParsedCache.emplace(Name, Parsed.take());
-  (void)Inserted;
-  return &*It->second;
+  const auto &Parsed = (*Entry)->parsed();
+  return Parsed.ok() ? &*Parsed : nullptr;
 }
 
 Vm::LoadedClass *Vm::loadClass(const std::string &Name) {
@@ -164,18 +149,18 @@ Vm::LoadedClass *Vm::loadClass(const std::string &Name) {
     return nullptr;
   }
 
-  const Bytes *Data = Env.lookup(Name);
-  if (COV_BRANCH(Cov, !Data)) {
+  const ClassEntryRef *Entry = Env.entry(Name);
+  if (COV_BRANCH(Cov, !Entry)) {
     abort(CurrentPhase, JvmErrorKind::NoClassDefFoundError, Name);
     return nullptr;
   }
 
-  auto Parsed = parseClassFile(*Data);
+  const auto &Parsed = (*Entry)->parsed();
   if (COV_BRANCH(Cov, !Parsed.ok())) {
     abort(JvmPhase::Loading, JvmErrorKind::ClassFormatError, Parsed.error());
     return nullptr;
   }
-  ClassFile CF = Parsed.take();
+  const ClassFile &CF = *Parsed;
 
   if (COV_BRANCH(Cov, CF.ThisClass != Name)) {
     abort(JvmPhase::Loading, JvmErrorKind::NoClassDefFoundError,
@@ -238,8 +223,7 @@ Vm::LoadedClass *Vm::loadClass(const std::string &Name) {
   }
   LoadingInProgress.erase(Name);
 
-  auto LC = std::make_unique<LoadedClass>();
-  LC->CF = std::move(CF);
+  auto LC = std::make_unique<LoadedClass>(CF);
   // Prepare static field slots (JVMS "preparation", done here for
   // simplicity; observable behavior is identical). ConstantValue
   // attributes initialize their slot without running <clinit>.

@@ -40,7 +40,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -51,6 +50,10 @@ class ExecEngine;
 
 /// One JVM instance bound to a policy and an environment. A Vm is
 /// single-shot per class under test: create, run(), inspect, discard.
+///
+/// The Vm keeps a reference to its ClassPath and borrows every parsed
+/// class from the environment's entries (ClassEntry::parsed()), so the
+/// ClassPath must outlive the Vm.
 class Vm {
 public:
   Vm(const JvmPolicy &Policy, const ClassPath &Env,
@@ -81,7 +84,11 @@ public:
   /// A class in this Vm's registry. Public so execution engines can name
   /// it in their interfaces; its mutation stays inside jvm/.
   struct LoadedClass {
-    ClassFile CF;
+    explicit LoadedClass(const ClassFile &CF) : CF(CF) {}
+
+    /// Borrowed from the environment's ClassEntry, which owns it and may
+    /// share it with other Vms (and threads): never written.
+    const ClassFile &CF;
     ClassState State = ClassState::Loaded;
     /// Static field slots, keyed "name:descriptor".
     std::map<std::string, Value> Statics;
@@ -110,7 +117,8 @@ private:
   bool ensureInvocable(LoadedClass &LC, const MethodInfo &M);
   /// Ensures <clinit> of \p LC (and supers) ran (JVMS §5.5).
   bool initializeClass(LoadedClass &LC);
-  /// Hierarchy oracle handed to the verifier.
+  /// Hierarchy oracle handed to the verifier: the environment's parse of
+  /// \p Name, loaded or not; nullptr when absent or unparseable.
   const ClassFile *lookupClassFile(const std::string &Name);
 
   /// Records an abort (VM error) unless one is already recorded.
@@ -172,8 +180,6 @@ private:
 
   std::map<std::string, std::unique_ptr<LoadedClass>> Classes;
   std::set<std::string> LoadingInProgress; ///< Circularity detection.
-  /// Parsed-but-not-loaded cache for hierarchy queries by the verifier.
-  std::map<std::string, std::optional<ClassFile>> ParsedCache;
 
   std::vector<HeapObject> Heap; ///< Heap[Ref-1]; Ref 0 is null.
   int32_t PendingException = 0; ///< Heap ref of the in-flight throwable.

@@ -8,6 +8,7 @@
 
 #include "../TestHelpers.h"
 #include "difftest/DiffTest.h"
+#include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -377,4 +378,46 @@ TEST(DiffStats, TierDisagreementsAreCounted) {
   Other.add(Disagree);
   Stats.merge(Other);
   EXPECT_EQ(Stats.TierDisagreements, 2u);
+}
+
+TEST(DiffTest, TestClassParsesTheClassUnderTestOncePerCall) {
+  // The parse counter only counts while telemetry is on.
+  telemetry::setEnabled(true);
+  auto Parsed = [] {
+    return telemetry::metrics().counter("work.classes_parsed").value();
+  };
+  Bytes Hello = serialize(makeHelloClass("Hello"));
+  ClassPath Corpus = corpusOf({{"Hello", Hello}});
+  const ClassEntry &CorpusEntry = **Corpus.entry("Hello");
+
+  std::vector<DifferentialTester> Testers;
+  Testers.emplace_back(std::vector<JvmPolicy>{referenceJvmPolicy()}, Corpus,
+                       EnvironmentMode::PerJvm);
+  Testers.push_back(DifferentialTester::withAllProfiles(
+      Corpus, EnvironmentMode::PerJvm));
+  Testers.push_back(DifferentialTester::withTieredProfiles(
+      Corpus, EnvironmentMode::PerJvm, ExecTier::Threaded,
+      /*TierDiff=*/true));
+  for (const DifferentialTester &Tester : Testers) {
+    const size_t NumProfiles = Tester.profiles().size();
+    // The first call also parses the library classes Hello loads, once
+    // per environment; from then on only the class under test parses.
+    (void)Tester.testClass("Hello");
+    for (int Call = 0; Call != 3; ++Call) {
+      const uint64_t Before = Parsed();
+      DiffOutcome O = Tester.testClass("Hello");
+      EXPECT_EQ(Parsed() - Before, 1u) << NumProfiles << " profiles";
+      EXPECT_EQ(O.encodedString(), std::string(NumProfiles, '0'));
+    }
+    const uint64_t Before = Parsed();
+    DiffOutcome O = Tester.testClass("Hello", Hello);
+    EXPECT_EQ(Parsed() - Before, 1u) << NumProfiles << " profiles";
+    EXPECT_EQ(O.encodedString(), std::string(NumProfiles, '0'));
+  }
+  // testClass(Name) shadowed the corpus entry instead of parsing it, so
+  // reading it now is its first parse.
+  const uint64_t Before = Parsed();
+  (void)CorpusEntry.parsed();
+  EXPECT_EQ(Parsed() - Before, 1u) << "the corpus entry was parsed";
+  telemetry::setEnabled(false);
 }

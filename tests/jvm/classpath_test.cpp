@@ -3,17 +3,22 @@
 // The copy-on-write ClassPath: overlay copies must share the frozen base
 // without ever leaking writes into it, and the merged view (lookup,
 // names, size, fingerprint) must be independent of how the contents are
-// layered.
+// layered. Its values are shared ClassEntry objects whose parse is made
+// once, by whichever reader (thread or Vm) gets there first.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jvm/ClassPath.h"
 
+#include "../TestHelpers.h"
 #include "support/Rng.h"
+#include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
 
 using namespace classfuzz;
 
@@ -50,6 +55,22 @@ void expectMatchesFlat(const ClassPath &CP,
   while ((size_t{2} << Log2) <= Flat.size())
     ++Log2;
   EXPECT_LE(CP.layerDepth(), Log2 + 2) << "size " << Flat.size();
+}
+
+/// Enables telemetry for one test (the parse counter only counts while
+/// it is on) and restores the disabled default afterwards.
+struct TelemetryOn {
+  TelemetryOn() { telemetry::setEnabled(true); }
+  ~TelemetryOn() { telemetry::setEnabled(false); }
+};
+
+uint64_t classesParsed() {
+  return telemetry::metrics().counter("work.classes_parsed").value();
+}
+
+const ClassEntry *entryOf(const ClassPath &CP, const std::string &Name) {
+  const ClassEntryRef *E = CP.entry(Name);
+  return E ? E->get() : nullptr;
 }
 
 } // namespace
@@ -241,4 +262,119 @@ TEST(ClassPath, OneAddPerFreezeKeepsLogDepth) {
       expectMatchesFlat(CP, Flat);
   }
   expectMatchesFlat(CP, Flat);
+}
+
+TEST(ClassPath, CopiesOverlaysAndFreezeShareEntries) {
+  ClassPath Base = makeBase();
+  const uint64_t Print = Base.fingerprint();
+  const std::vector<std::string> Names = Base.names();
+  const ClassEntry *Seed0 = entryOf(Base, "Seed0");
+  ASSERT_NE(Seed0, nullptr);
+
+  ClassPath Copy = Base;
+  EXPECT_EQ(entryOf(Copy, "Seed0"), Seed0);
+  Base.freeze();
+  EXPECT_EQ(entryOf(Base, "Seed0"), Seed0);
+  EXPECT_EQ(Base.fingerprint(), Print);
+  EXPECT_EQ(Base.names(), Names);
+
+  ClassPath Extra;
+  Extra.add("Extra", bytesOf("extra"));
+  const ClassEntry *ExtraEntry = entryOf(Extra, "Extra");
+  ClassPath Merged = Base.overlaidWith(Extra);
+  EXPECT_EQ(entryOf(Merged, "Seed0"), Seed0);
+  EXPECT_EQ(entryOf(Merged, "Extra"), ExtraEntry);
+
+  // Layer merging copies entry references, never entries.
+  for (int I = 0; I != 40; ++I) {
+    Merged.add("Mutant" + std::to_string(I), bytesOf("m"));
+    Merged.freeze();
+  }
+  EXPECT_EQ(entryOf(Merged, "Seed0"), Seed0);
+  EXPECT_EQ(entryOf(Merged, "Extra"), ExtraEntry);
+  EXPECT_EQ(entryOf(Base, "Seed0"), Seed0);
+  EXPECT_EQ(Base.fingerprint(), Print);
+
+  // An entry added by reference to an unrelated path is the same object,
+  // and the contents (hence the fingerprint) match a copy of its bytes.
+  ClassPath Shared;
+  Shared.add("Seed0", *Base.entry("Seed0"));
+  EXPECT_EQ(entryOf(Shared, "Seed0"), Seed0);
+  ClassPath ByValue;
+  ByValue.add("Seed0", bytesOf("seed0"));
+  EXPECT_NE(entryOf(ByValue, "Seed0"), Seed0);
+  EXPECT_EQ(Shared.fingerprint(), ByValue.fingerprint());
+}
+
+TEST(ClassEntry, EightReadersParseOnce) {
+  TelemetryOn Guard;
+  const ClassEntry Entry(testhelpers::serialize(
+      testhelpers::makeHelloClass("Hello")));
+  const uint64_t Before = classesParsed();
+
+  constexpr size_t NumThreads = 8;
+  std::vector<const Result<ClassFile> *> Seen(NumThreads, nullptr);
+  std::atomic<size_t> Arrived{0};
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I != NumThreads; ++I)
+    Threads.emplace_back([&, I] {
+      // Start together so the readers race for the first parse.
+      Arrived.fetch_add(1);
+      while (Arrived.load() != NumThreads)
+        std::this_thread::yield();
+      Seen[I] = &Entry.parsed();
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(classesParsed() - Before, 1u);
+  for (const Result<ClassFile> *P : Seen) {
+    ASSERT_EQ(P, Seen[0]);
+    ASSERT_TRUE(P->ok());
+    EXPECT_EQ((*P)->ThisClass, "Hello");
+  }
+}
+
+TEST(ClassEntry, MalformedBytesCacheTheirError) {
+  TelemetryOn Guard;
+  const Bytes Good =
+      testhelpers::serialize(testhelpers::makeHelloClass("Broken"));
+  const Bytes Bad(Good.begin(), Good.begin() + Good.size() / 2);
+  const ClassPath Lib = testhelpers::makeEnv();
+  ClassPath Shared = Lib;
+  Shared.add("Broken", Bad);
+  const ClassEntry &Entry = **Shared.entry("Broken");
+
+  struct Run {
+    JvmResult Result;
+    Tracefile Trace;
+  };
+  auto runOn = [](const ClassPath &Env) {
+    CoverageRecorder Rec;
+    Vm Jvm(referenceJvmPolicy(), Env, &Rec);
+    Run Out;
+    Out.Result = Jvm.run("Broken");
+    Out.Trace = Rec.takeTrace();
+    return Out;
+  };
+
+  const uint64_t Before = classesParsed();
+  const Run First = runOn(Shared);
+  const Run Second = runOn(Shared);
+  ASSERT_FALSE(Entry.parsed().ok());
+  EXPECT_EQ(classesParsed() - Before, 1u) << "the error must be cached";
+
+  ClassPath Fresh = Lib;
+  Fresh.add("Broken", Bad);
+  const Run Reparsed = runOn(Fresh);
+  EXPECT_EQ(classesParsed() - Before, 2u);
+
+  EXPECT_EQ(First.Result.Error, JvmErrorKind::ClassFormatError);
+  EXPECT_EQ(First.Result.Message, Entry.parsed().error());
+  for (const Run *R : {&Second, &Reparsed}) {
+    EXPECT_EQ(R->Result.Phase, First.Result.Phase);
+    EXPECT_EQ(R->Result.Error, First.Result.Error);
+    EXPECT_EQ(R->Result.Message, First.Result.Message);
+    EXPECT_TRUE(R->Trace.sameSets(First.Trace));
+  }
 }
