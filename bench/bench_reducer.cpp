@@ -11,12 +11,10 @@
 //
 //   * legacy     one-element-at-a-time scan (ChunkedHdd = false)
 //   * chunked    ddmin chunks n/2, n/4, ..., 1 + memo cache
-//   * parallel   chunked with --reduce-jobs worker probing
 //
 // Prints oracle queries, cache hits, and wall time per configuration,
-// verifies the reduced bytes are identical across all three, and exits
-// non-zero when chunking saves fewer than 30% of the legacy queries or
-// the jobs-determinism contract breaks (so CI enforces both).
+// and exits non-zero when chunking saves fewer than 30% of the legacy
+// queries (so CI enforces it).
 //
 //   bench_reducer [--write-fixture PATH]   write the fixture classfile
 //                                          and exit (for CLI smoke tests)
@@ -33,7 +31,6 @@
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 
 using namespace classfuzz;
 
@@ -175,21 +172,15 @@ int main(int Argc, char **Argv) {
     return Tester.testClass(Name, Candidate).encodedString() == Target;
   };
 
-  size_t Jobs = std::thread::hardware_concurrency();
-  Jobs = Jobs < 2 ? 2 : (Jobs > 8 ? 8 : Jobs);
-
   ReducerOptions Legacy;
   Legacy.ChunkedHdd = false;
   ReducerOptions Chunked;
-  ReducerOptions Parallel;
-  Parallel.Jobs = Jobs;
 
   std::printf("reducing a %zu-byte fixture (discrepancy \"%s\"), "
               "oracle = 5-profile differential run\n\n",
               Fixture.size(), Target.c_str());
   RunResult L = runOnce(Fixture, Oracle, Legacy);
-  RunResult C1 = runOnce(Fixture, Oracle, Chunked);
-  RunResult CN = runOnce(Fixture, Oracle, Parallel);
+  RunResult C = runOnce(Fixture, Oracle, Chunked);
 
   std::printf("%-22s %8s %8s %8s %10s %9s\n", "configuration", "queries",
               "hits", "kept", "wall-ms", "bytes");
@@ -199,32 +190,21 @@ int main(int Argc, char **Argv) {
                 R.Stats.DeletionsKept, R.WallMs, R.Reduced.size());
   };
   Row("legacy per-element", L);
-  Row("chunked jobs=1", C1);
-  char Label[32];
-  std::snprintf(Label, sizeof(Label), "chunked jobs=%zu", Jobs);
-  Row(Label, CN);
+  Row("chunked", C);
 
   double Savings =
-      100.0 * (1.0 - static_cast<double>(C1.Stats.OracleQueries) /
+      100.0 * (1.0 - static_cast<double>(C.Stats.OracleQueries) /
                          static_cast<double>(L.Stats.OracleQueries));
-  double Speedup = C1.WallMs > 0 ? L.WallMs / C1.WallMs : 0;
-  double ParSpeedup = CN.WallMs > 0 ? L.WallMs / CN.WallMs : 0;
+  double Speedup = C.WallMs > 0 ? L.WallMs / C.WallMs : 0;
   std::printf("\nchunked saves %.1f%% oracle queries vs legacy "
-              "(%.2fx wall; %.2fx with %zu jobs)\n",
-              Savings, Speedup, ParSpeedup, Jobs);
+              "(%.2fx wall)\n",
+              Savings, Speedup);
 
-  int Exit = 0;
-  if (C1.Reduced != CN.Reduced) {
-    std::fprintf(stderr,
-                 "FAIL: reduced bytes differ between jobs=1 and jobs=%zu\n",
-                 Jobs);
-    Exit = 1;
-  }
   if (Savings < 30.0) {
     std::fprintf(stderr,
                  "FAIL: chunked HDD saved %.1f%% queries (budget: >= 30%%)\n",
                  Savings);
-    Exit = 1;
+    return 1;
   }
-  return Exit;
+  return 0;
 }

@@ -117,7 +117,7 @@ int main() {
   std::printf("=== before reduction (%zu bytes) ===\n%s\n", Input.size(),
               jirDump(Input).c_str());
 
-  ReducerOptions Opts; // Chunked HDD + memo cache, sequential probing.
+  ReducerOptions Opts; // Chunked HDD + memo cache.
   ReductionStats Stats;
   auto Reduced = reduceClassfile(Input, Oracle, Opts, &Stats);
   if (!Reduced) {

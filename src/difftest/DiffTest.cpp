@@ -137,10 +137,10 @@ DifferentialTester DifferentialTester::withTieredProfiles(
   std::optional<std::pair<size_t, size_t>> Pair;
   if (TierDiff) {
     // The tier pair: the reference policy on the threaded-interpreter
-    // and baseline tiers. JitTelemetry is deferred -- testClass runs on
-    // reducer probe lanes whose count varies with --reduce-jobs, and
-    // engine-teardown publishing there would make jit.* counters
-    // job-dependent.
+    // and baseline tiers. JitTelemetry is off for the pair, so its runs
+    // publish no jit.* counters at engine teardown -- neither from the
+    // difftest workers nor from the reducer's oracle calls, whose
+    // outcomes are never committed.
     JvmPolicy Ref = referenceJvmPolicy();
     Ref.JitTelemetry = false;
     Pair.emplace(Descs.size(), Descs.size() + 1);
@@ -171,9 +171,9 @@ DiffOutcome DifferentialTester::runProfiles(
     Timer.emplace(WallNs, "difftest");
 
   // Flight events and the "difftest" trace event are deferred into the
-  // outcome instead of written here: runProfiles executes on reducer
-  // probe lanes and difftest workers, and direct writes from those
-  // threads would interleave nondeterministically. The caller publishes
+  // outcome instead of written here: runProfiles executes on difftest
+  // workers, and direct writes from those threads would interleave
+  // nondeterministically. The caller publishes
   // them via commit() at its deterministic commit point.
   const bool Flight = tm::flightRecorder().enabled();
   // Hashed once; flight events identify the class without storing the

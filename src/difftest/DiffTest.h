@@ -55,7 +55,7 @@ struct ProfileDesc {
 /// instead of writing the global sequence stream from whatever thread it
 /// runs on; the caller replays them (DiffOutcome::commit) at its own
 /// deterministic commit point, so armed-recorder dumps are byte-identical
-/// across --jobs/--reduce-jobs values.
+/// across --jobs values.
 struct DeferredFlightEvent {
   telemetry::FlightKind Kind = telemetry::FlightKind::None;
   uint64_t A = 0, B = 0, C = 0;
@@ -147,9 +147,9 @@ public:
   ///
   /// Thread-safe: the per-profile environments are frozen at
   /// construction, and each call works on an O(1) copy-on-write
-  /// ClassPath copy plus a call-local Vm. The reducer's parallel probe
-  /// lanes (`--reduce-jobs`) and the CLI's difftest fan-out (`--jobs`)
-  /// rely on this to invoke one tester concurrently from many workers.
+  /// ClassPath copy plus a call-local Vm. The CLI's difftest fan-out
+  /// (`--jobs`) relies on this to invoke one tester from many workers
+  /// while its main thread calls it as the reducer's oracle.
   /// Flight-recorder and trace events are never written from inside the
   /// call: they are deferred into the returned DiffOutcome, and only the
   /// caller's commit() -- invoked at a deterministic commit point --

@@ -415,22 +415,25 @@ CampaignResult classfuzz::runCampaign(const CampaignConfig &Config) {
   // environment per profile (each its own runtime-library version, the
   // Definition 1 setup). RefEnv above still serves the analyzer and the
   // class-name universe; the reference profile's batch run doubles as
-  // the classic pipeline's reference run.
+  // the classic pipeline's reference run, so its slot holds
+  // Config.ReferencePolicy itself, and every profile runs on its tier.
   std::vector<JvmPolicy> DdPolicies;
   std::vector<ClassPath> DdEnvs;
   size_t DdRefIndex = 0;
   if (DdMode) {
     DdPolicies = allJvmPolicies();
-    bool Found = false;
-    for (size_t I = 0; I != DdPolicies.size() && !Found; ++I)
+    for (JvmPolicy &P : DdPolicies)
+      P.Tier = Config.ReferencePolicy.Tier;
+    DdRefIndex = DdPolicies.size();
+    for (size_t I = 0; I != DdPolicies.size(); ++I)
       if (DdPolicies[I].Name == Config.ReferencePolicy.Name) {
         DdRefIndex = I;
-        Found = true;
+        break;
       }
-    if (!Found) {
-      DdRefIndex = DdPolicies.size();
+    if (DdRefIndex == DdPolicies.size())
       DdPolicies.push_back(Config.ReferencePolicy);
-    }
+    else
+      DdPolicies[DdRefIndex] = Config.ReferencePolicy;
     for (const JvmPolicy &P : DdPolicies)
       DdEnvs.push_back(corpusEnvFor(P));
   }

@@ -1,34 +1,22 @@
-//===- reducer/Reducer.cpp - Chunked, memoized, parallel HDD reduction ----===//
+//===- reducer/Reducer.cpp - Chunked, memoized HDD reduction --------------===//
 //
 // Part of classfuzz-cpp (PLDI 2016 classfuzz reproduction).
 //
 //===----------------------------------------------------------------------===//
 //
-// Ddmin-style chunked hierarchical delta debugging (DESIGN.md §10).
-//
-// A Schedule enumerates candidate deletions in a canonical sequential
-// order; a probe pipeline speculates ahead on that order under presumed
-// rejection (the same scheme as the campaign pipeline, DESIGN.md §7) and
-// commits verdicts strictly in order. Only committed probes charge the
-// oracle budget, enter the memo cache, or touch the flight recorder, so
-// every observable output -- reduced bytes, ReductionStats, query and
-// cache accounting -- is identical for any ReducerOptions::Jobs.
+// Ddmin-style chunked hierarchical delta debugging (DESIGN.md §10): one
+// sequential loop that probes candidate deletions in a fixed order and
+// adopts each deletion the oracle keeps.
 //
 //===----------------------------------------------------------------------===//
 
 #include "reducer/Reducer.h"
 
 #include "support/Hashing.h"
-#include "support/ThreadPool.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/Telemetry.h"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
-#include <future>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 
 using namespace classfuzz;
@@ -173,123 +161,13 @@ bool applyDeletion(JirClass &C, int Lv, size_t Start, size_t Len) {
   return false;
 }
 
-/// One candidate deletion the schedule asks the pipeline to probe.
-struct ProbeDesc {
-  int Level = 0;
-  size_t Start = 0;
-  size_t Len = 0;
-  size_t ChunkLen = 0;   ///< Rung the window came from (for rewind).
-  bool PairScan = false; ///< Unaligned stride-1 pair window (statements).
-};
-
-/// Enumerates candidate deletions in the canonical sequential order:
-/// sweeps over levels coarse to fine; per level, ddmin rungs of
-/// end-aligned windows of ChunkLen = ~n/2, n/4, ..., 1 scanned back to
-/// front (so surviving indices stay stable); the statements level then
-/// runs an unaligned stride-1 pair scan, which subsumes the old
-/// adjacent-pair pass (re-probes of aligned windows resolve from the
-/// memo cache for free). Sweeps repeat while any probe was kept; next()
-/// returns nullopt at the fixed point.
-///
-/// The pipeline calls next() speculatively under presumed rejection; a
-/// kept probe discards all later speculation and rewinds the schedule
-/// with noteKept(), so next() is only ever observed against the correct
-/// sequential class state.
-class Schedule {
-public:
-  explicit Schedule(bool Chunked) : Chunked(Chunked) {}
-
-  std::optional<ProbeDesc> next(const JirClass &J) {
-    for (;;) {
-      if (!Primed) {
-        Count = levelCount(J, Level);
-        ChunkLen = Chunked ? initialChunk(Count) : 1;
-        Pos = Count;
-        PairScan = false;
-        Primed = true;
-      }
-      if (!PairScan) {
-        if (Pos > 0) {
-          size_t Start = Pos > ChunkLen ? Pos - ChunkLen : 0;
-          ProbeDesc D{Level, Start, Pos - Start, ChunkLen, false};
-          Pos = Start;
-          return D;
-        }
-        if (ChunkLen > 1) { // Next rung: half the window, rescan.
-          ChunkLen /= 2;
-          Pos = Count;
-          continue;
-        }
-        if (Level == LvStatements && Count >= 2) {
-          PairScan = true;
-          Pos = Count;
-          continue;
-        }
-      } else if (Pos >= 2) {
-        ProbeDesc D{Level, Pos - 2, 2, 1, true};
-        --Pos;
-        return D;
-      }
-      // Level exhausted; advance, and restart the sweep at the fixed
-      // point check when something was kept this sweep.
-      Primed = false;
-      if (++Level < NumLevels)
-        continue;
-      if (!SweepChanged)
-        return std::nullopt;
-      SweepChanged = false;
-      Level = 0;
-    }
-  }
-
-  /// Rewinds to just after the kept probe \p D against the
-  /// post-deletion class \p J. Called only at in-order commit time,
-  /// after the pipeline discarded all later speculation.
-  void noteKept(const ProbeDesc &D, const JirClass &J) {
-    SweepChanged = true;
-    Level = D.Level;
-    ChunkLen = D.ChunkLen;
-    PairScan = D.PairScan;
-    Primed = true;
-    Count = levelCount(J, Level);
-    Pos = std::min(D.PairScan ? D.Start + 1 : D.Start, Count);
-  }
-
-private:
-  static size_t initialChunk(size_t N) {
-    size_t C = 1;
-    while (C * 4 <= N)
-      C *= 2; // Largest power of two <= N/2.
-    return C;
-  }
-
-  bool Chunked;
-  int Level = 0;
-  bool Primed = false;
-  bool PairScan = false;
-  bool SweepChanged = false;
-  size_t Count = 0;
-  size_t ChunkLen = 0;
-  size_t Pos = 0;
-};
-
-/// How a speculated probe resolved before reaching the oracle.
-enum class ProbeKind { SkippedStructural, AssemblyFailed, NeedsOracle };
-
-/// One in-flight speculated probe, committed in schedule order.
-struct Pending {
-  ProbeDesc D;
-  ProbeKind Kind = ProbeKind::NeedsOracle;
-  JirClass Candidate;
-  std::shared_ptr<Bytes> Data;
-  uint64_t Hash = 0;
-  std::future<bool> Verdict;
-  bool HasFuture = false;
-  /// Set when the probe is discarded (rollback) or answered from the
-  /// cache at commit; a worker that has not started yet then skips the
-  /// oracle call entirely.
-  std::shared_ptr<std::atomic<bool>> Cancelled;
-};
+/// Largest power of two <= N/2 (at least 1): the first ddmin rung.
+size_t initialChunk(size_t N) {
+  size_t C = 1;
+  while (C * 4 <= N)
+    C *= 2;
+  return C;
+}
 
 } // namespace
 
@@ -306,15 +184,12 @@ Result<Bytes> classfuzz::reduceClassfile(const Bytes &Input,
   auto &FR = telemetry::flightRecorder();
 
   ReductionStats S;
-  size_t SpecCancelled = 0;
 
   // Accounted once at exit (all paths, success or error): stats are
   // tallied locally either way, so the enabled/disabled difference is a
   // branch and a few increments.
   struct Accounting {
     const ReductionStats &S;
-    const size_t &SpecCancelled;
-    size_t Jobs;
     ~Accounting() {
       if (!telemetry::enabled())
         return;
@@ -327,7 +202,6 @@ Result<Bytes> classfuzz::reduceClassfile(const Bytes &Input,
       M.counter("reducer.chunk_deletions_kept").inc(S.ChunkDeletionsKept);
       M.counter("reducer.skipped_structural").inc(S.SkippedStructural);
       M.counter("reducer.assembly_failures").inc(S.AssemblyFailures);
-      M.counter("reducer.speculation.cancelled").inc(SpecCancelled);
       if (S.BudgetExhausted)
         M.counter("reducer.budget_exhausted").inc();
       if (telemetry::eventSink())
@@ -343,10 +217,9 @@ Result<Bytes> classfuzz::reduceClassfile(const Bytes &Input,
                    static_cast<uint64_t>(S.StatementsRemoved))
             .field("budget_exhausted",
                    static_cast<uint64_t>(S.BudgetExhausted ? 1 : 0))
-            .field("jobs", static_cast<uint64_t>(Jobs))
             .emit();
     }
-  } Account{S, SpecCancelled, Opts.Jobs};
+  } Account{S};
 
   auto Done = [&](Result<Bytes> R) {
     if (StatsOut)
@@ -366,7 +239,6 @@ Result<Bytes> classfuzz::reduceClassfile(const Bytes &Input,
                           InitialBytes.error()));
 
   // Memo cache: FNV-1a hash of assembled candidate bytes -> verdict.
-  // Only committed probes enter it, so its contents are Jobs-invariant.
   std::unordered_map<uint64_t, bool> Cache;
 
   // Probe the input itself first. An exhausted budget here (including
@@ -376,170 +248,117 @@ Result<Bytes> classfuzz::reduceClassfile(const Bytes &Input,
     return Done(makeError(
         "oracle query budget exhausted before the input was tested"));
   }
-  auto Best = std::make_shared<Bytes>(InitialBytes.take());
+  Bytes Best = InitialBytes.take();
   bool InputTriggers;
   {
     telemetry::PhaseTimer ProbeT(ProbeNs, "reduce-probe");
-    InputTriggers = Oracle(J.Name, *Best);
+    InputTriggers = Oracle(J.Name, Best);
   }
   ++S.OracleQueries;
   ++S.CacheMisses;
-  Cache[hashBytes(*Best)] = InputTriggers;
-  FR.record(telemetry::FlightKind::ReducerQuery, 0, Best->size(),
+  Cache[hashBytes(Best)] = InputTriggers;
+  FR.record(telemetry::FlightKind::ReducerQuery, 0, Best.size(),
             InputTriggers ? 1 : 0);
   if (!InputTriggers)
     return Done(makeError("input does not satisfy the reduction oracle"));
 
-  std::unique_ptr<ThreadPool> Pool;
-  if (Opts.Jobs > 1)
-    Pool = std::make_unique<ThreadPool>(Opts.Jobs);
-  const size_t Window = Pool ? Opts.Jobs * 2 : 1;
-
-  Schedule Sched(Opts.ChunkedHdd);
-  std::deque<Pending> InFlight;
-  bool ScheduleDone = false;
-  bool Stop = false;
-
-  // Builds the next probe against the current J (presumed rejection:
-  // J does not change while speculation is outstanding). Oracle work is
-  // submitted to the pool only when the cache cannot already answer.
-  auto speculate = [&]() -> bool {
-    auto D = Sched.next(J);
-    if (!D)
-      return false;
-    Pending P;
-    P.D = *D;
+  // Probes deleting level elements [Start, Start+Len) from J: structural
+  // pre-check, assembly, cache, then (budget permitting) the oracle.
+  // Returns true when the deletion was kept; it is then adopted into J
+  // and credited to its level. Sets S.BudgetExhausted instead of asking
+  // the oracle past the budget.
+  size_t *const Removed[NumLevels] = {&S.MethodsRemoved, &S.FieldsRemoved,
+                                      &S.InterfacesRemoved, &S.ThrowsRemoved,
+                                      &S.StatementsRemoved};
+  auto probe = [&](int Lv, size_t Start, size_t Len) {
     JirClass Candidate = J;
-    if (!applyDeletion(Candidate, D->Level, D->Start, D->Len)) {
-      P.Kind = ProbeKind::SkippedStructural;
-      InFlight.push_back(std::move(P));
-      return true;
+    if (!applyDeletion(Candidate, Lv, Start, Len)) {
+      ++S.SkippedStructural;
+      return false;
     }
     auto Data = assembleToBytes(Candidate);
     if (!Data) {
-      P.Kind = ProbeKind::AssemblyFailed;
-      InFlight.push_back(std::move(P));
-      return true;
-    }
-    P.Kind = ProbeKind::NeedsOracle;
-    P.Candidate = std::move(Candidate);
-    P.Data = std::make_shared<Bytes>(Data.take());
-    P.Hash = hashBytes(*P.Data);
-    if (Pool && !Cache.count(P.Hash)) {
-      P.Cancelled = std::make_shared<std::atomic<bool>>(false);
-      auto DataRef = P.Data;
-      auto CancelRef = P.Cancelled;
-      std::string Name = P.Candidate.Name;
-      P.Verdict = Pool->submit(
-          [&Oracle, &ProbeNs, DataRef, CancelRef, Name]() {
-            if (CancelRef->load(std::memory_order_relaxed))
-              return false;
-            telemetry::PhaseTimer ProbeT(ProbeNs, "reduce-probe");
-            return Oracle(Name, *DataRef);
-          });
-      P.HasFuture = true;
-    }
-    InFlight.push_back(std::move(P));
-    return true;
-  };
-
-  auto cancelInFlight = [&] {
-    for (Pending &Q : InFlight)
-      if (Q.Cancelled)
-        Q.Cancelled->store(true, std::memory_order_relaxed);
-    SpecCancelled += InFlight.size();
-    InFlight.clear();
-  };
-
-  // Commit loop: fill the speculation window, then resolve the oldest
-  // probe. Budget, cache, stats, and flight records are touched only
-  // here, in schedule order.
-  while (!Stop && (!InFlight.empty() || !ScheduleDone)) {
-    while (!ScheduleDone && InFlight.size() < Window)
-      if (!speculate())
-        ScheduleDone = true;
-    if (InFlight.empty())
-      break; // Fixed point: schedule done, nothing outstanding.
-
-    Pending P = std::move(InFlight.front());
-    InFlight.pop_front();
-
-    if (P.Kind == ProbeKind::SkippedStructural) {
-      ++S.SkippedStructural;
-      continue;
-    }
-    if (P.Kind == ProbeKind::AssemblyFailed) {
       ++S.AssemblyFailures;
-      continue;
+      return false;
     }
-
+    const uint64_t Hash = hashBytes(*Data);
     bool Kept;
-    auto CIt = Cache.find(P.Hash);
+    auto CIt = Cache.find(Hash);
     if (CIt != Cache.end()) {
       ++S.CacheHits;
       Kept = CIt->second;
-      if (P.Cancelled) // Worker may not have started; spare the oracle.
-        P.Cancelled->store(true, std::memory_order_relaxed);
     } else {
       if (S.OracleQueries >= Opts.MaxOracleQueries) {
         S.BudgetExhausted = true;
-        Stop = true;
-        cancelInFlight();
-        break;
+        return false;
       }
-      if (P.HasFuture) {
-        Kept = P.Verdict.get();
-      } else {
+      {
         telemetry::PhaseTimer ProbeT(ProbeNs, "reduce-probe");
-        Kept = Oracle(P.Candidate.Name, *P.Data);
+        Kept = Oracle(Candidate.Name, *Data);
       }
       ++S.OracleQueries;
       ++S.CacheMisses;
-      Cache[P.Hash] = Kept;
+      Cache[Hash] = Kept;
       FR.record(telemetry::FlightKind::ReducerQuery, S.OracleQueries - 1,
-                P.Data->size(), Kept ? 1 : 0);
+                Data->size(), Kept ? 1 : 0);
     }
     if (!Kept)
-      continue;
+      return false;
 
-    // Deletion kept: adopt the candidate, credit the level, rewind the
-    // schedule, and discard all later speculation (it was built against
-    // the superseded class).
-    J = std::move(P.Candidate);
-    Best = P.Data;
+    J = std::move(Candidate);
+    Best = Data.take();
     ++S.DeletionsKept;
-    switch (P.D.Level) {
-    case LvMethods:
-      S.MethodsRemoved += P.D.Len;
-      break;
-    case LvFields:
-      S.FieldsRemoved += P.D.Len;
-      break;
-    case LvInterfaces:
-      S.InterfacesRemoved += P.D.Len;
-      break;
-    case LvThrows:
-      S.ThrowsRemoved += P.D.Len;
-      break;
-    case LvStatements:
-      S.StatementsRemoved += P.D.Len;
-      break;
-    }
-    if (P.D.Len > 1) {
+    *Removed[Lv] += Len;
+    if (Len > 1) {
       ++S.ChunkDeletionsKept;
-      S.LargestChunkKept = std::max(S.LargestChunkKept, P.D.Len);
+      S.LargestChunkKept = std::max(S.LargestChunkKept, Len);
       if (telemetry::enabled())
-        ChunkLenHist.record(P.D.Len);
+        ChunkLenHist.record(Len);
     }
-    FR.record(telemetry::FlightKind::ReducerKept,
-              static_cast<uint64_t>(P.D.Level), P.D.Start, P.D.Len);
-    Sched.noteKept(P.D, J);
-    ScheduleDone = false;
-    cancelInFlight();
+    FR.record(telemetry::FlightKind::ReducerKept, static_cast<uint64_t>(Lv),
+              Start, Len);
+    return true;
+  };
+
+  // Sweeps over the levels coarse to fine until a sweep keeps nothing.
+  // Per level: ddmin rungs of end-aligned windows of ~n/2, n/4, ..., 1
+  // elements, each rung scanned back to front so the indices still to
+  // be probed stay valid after a kept deletion; then, on statements, an
+  // unaligned stride-1 pair scan (its re-probes of aligned windows
+  // resolve from the cache). A kept deletion recounts the level and the
+  // scan resumes just below it. No probe runs once the budget is out.
+  for (bool Changed = true; Changed && !S.BudgetExhausted;) {
+    Changed = false;
+    for (int Lv = 0; Lv != NumLevels; ++Lv) {
+      size_t Count = levelCount(J, Lv);
+      for (size_t Chunk = Opts.ChunkedHdd ? initialChunk(Count) : 1;;
+           Chunk /= 2) {
+        for (size_t Pos = Count; Pos > 0 && !S.BudgetExhausted;) {
+          const size_t Start = Pos > Chunk ? Pos - Chunk : 0;
+          if (probe(Lv, Start, Pos - Start)) {
+            Changed = true;
+            Count = levelCount(J, Lv);
+          }
+          Pos = std::min(Start, Count);
+        }
+        if (Chunk == 1)
+          break;
+      }
+      if (Lv != LvStatements)
+        continue;
+      for (size_t Pos = Count; Pos >= 2 && !S.BudgetExhausted;) {
+        const size_t Start = Pos - 2;
+        if (probe(Lv, Start, 2)) {
+          Changed = true;
+          Count = levelCount(J, Lv);
+        }
+        Pos = std::min(Start + 1, Count);
+      }
+    }
   }
 
   // Return the exact bytes the oracle last accepted (no re-assembly).
-  return Done(Bytes(*Best));
+  return Done(std::move(Best));
 }
 
 Result<Bytes> classfuzz::reduceClassfile(const Bytes &Input,

@@ -12,7 +12,7 @@
 /// chunks of size n/2, n/4, ..., 1 per hierarchy level -- keeping a
 /// deletion whenever the discrepancy persists, until a fixed point.
 ///
-/// Three things keep the oracle (a full five-profile differential run)
+/// Two things keep the oracle (a full five-profile differential run)
 /// off the critical path wherever possible (DESIGN.md §10):
 ///
 ///  * **Memoization.** Verdicts are cached by the FNV-1a hash of the
@@ -24,12 +24,6 @@
 ///    assemblable class (dangling branch targets with no retarget,
 ///    emptied method bodies, collapsed exception ranges) are skipped
 ///    before any assembly or oracle work.
-///  * **Parallel probing.** With Jobs > 1, oracle probes run on a
-///    ThreadPool under the campaign pipeline's presumed-rejection
-///    speculation with in-order commit, so the reduced output, the
-///    ReductionStats, and the query/cache accounting are byte-identical
-///    for every Jobs value. The oracle must then be safe to invoke
-///    concurrently (DifferentialTester::testClass is).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,9 +37,8 @@
 namespace classfuzz {
 
 /// Oracle: true when the candidate classfile still triggers the
-/// discrepancy o under study (Step 2 of §2.3). With ReducerOptions::Jobs
-/// greater than one the oracle is invoked from multiple worker threads
-/// concurrently and must be thread-safe.
+/// discrepancy o under study (Step 2 of §2.3). It is called from the
+/// reducing thread only, one candidate at a time.
 using ReductionOracle =
     std::function<bool(const std::string &Name, const Bytes &Data)>;
 
@@ -58,10 +51,6 @@ struct ReducerOptions {
   /// reduceClassfile fails with a budget (not an oracle-rejection)
   /// error.
   size_t MaxOracleQueries = 10000;
-  /// Worker threads probing the oracle. The reduced bytes and every
-  /// ReductionStats field are identical for any value (presumed-
-  /// rejection speculation, in-order commit).
-  size_t Jobs = 1;
   /// When false, every rung uses chunk size 1 (the legacy one-element-
   /// at-a-time scan). Kept as a benchmark baseline; bench_reducer
   /// measures the query savings of chunking against it.
@@ -69,12 +58,12 @@ struct ReducerOptions {
 };
 
 /// Statistics of one reduction run. Every field is a function of
-/// (input, oracle, options minus Jobs) only -- identical across Jobs.
+/// (input, oracle, options) only.
 struct ReductionStats {
   size_t OracleQueries = 0;   ///< Charged oracle invocations.
   size_t CacheHits = 0;       ///< Probes answered from the memo cache.
   size_t CacheMisses = 0;     ///< == OracleQueries (kept for symmetry).
-  size_t DeletionsKept = 0;   ///< Committed probes that kept a deletion.
+  size_t DeletionsKept = 0;   ///< Probes that kept a deletion.
   size_t ChunkDeletionsKept = 0; ///< Kept deletions of more than one element.
   size_t LargestChunkKept = 0;   ///< Elements in the largest kept chunk.
   size_t SkippedStructural = 0;  ///< Candidates rejected before assembly.

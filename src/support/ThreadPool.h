@@ -6,11 +6,10 @@
 ///
 /// \file
 /// A minimal fixed-size thread pool with a FIFO task queue, used by the
-/// CLI's post-campaign difftest (`fuzz --jobs`) and the reducer's probe
-/// lanes (`--reduce-jobs`). Tasks are submitted as callables and their
-/// results retrieved through std::future; submission order is preserved
-/// by the queue, so a caller that walks the futures in submission order
-/// waits on the oldest task first.
+/// CLI's post-campaign difftest (`fuzz --jobs`). Tasks are submitted as
+/// callables and their results retrieved through std::future;
+/// submission order is preserved by the queue, so a caller that walks
+/// the futures in submission order waits on the oldest task first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +29,7 @@
 namespace classfuzz {
 
 /// The most worker threads a command-line flag may ask for. The CLI
-/// rejects larger --jobs / --reduce-jobs values before any pool starts.
+/// rejects larger --jobs values before any pool starts.
 inline constexpr size_t MaxPoolThreads = 256;
 
 /// Fixed pool of worker threads draining a FIFO queue of tasks.

@@ -275,7 +275,7 @@ TEST(DiffTest, FlightEventsAreDeferredUntilCommitted) {
   EXPECT_EQ(Events.back().Kind, tel::FlightKind::DiffOutcome);
 
   // Committing is the caller's choice: a second commit replays again
-  // (the reducer's probe lanes simply never call it).
+  // (the reducer's oracle simply never commits).
   O.commit();
   EXPECT_EQ(FR.snapshot().size(), 2 * O.FlightEvents.size());
 }

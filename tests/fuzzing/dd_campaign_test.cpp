@@ -8,10 +8,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzzing/Campaign.h"
+#include "telemetry/Telemetry.h"
 
 #include <gtest/gtest.h>
 
 using namespace classfuzz;
+namespace tel = classfuzz::telemetry;
 
 namespace {
 
@@ -73,4 +75,35 @@ TEST(DdCampaign, AlgorithmNamesAndPredicate) {
   EXPECT_TRUE(usesDeltaDiversity(FuzzAlgorithm::ClassfuzzDdFine));
   EXPECT_FALSE(usesDeltaDiversity(FuzzAlgorithm::ClassfuzzStBr));
   EXPECT_FALSE(usesDeltaDiversity(FuzzAlgorithm::Randfuzz));
+}
+
+TEST(DdCampaign, BaselineTierRunsTheWholeBatchOnThatTier) {
+  // --tier must reach every profile of the δ batch, the reference slot
+  // included (it doubles as the reference run). By the tier contract
+  // the committed trajectory is the threaded one, and the baseline
+  // engine's jit.* counters show that its VMs really ran.
+  CampaignConfig Threaded = ddConfig(FuzzAlgorithm::ClassfuzzDdFine, 80);
+  const CampaignResult Want = runCampaign(Threaded);
+
+  CampaignConfig Baseline = Threaded;
+  Baseline.ReferencePolicy.Tier = ExecTier::Baseline;
+  tel::setEnabled(true);
+  tel::metrics().reset();
+  const CampaignResult Got = runCampaign(Baseline);
+  const uint64_t Compiles = tel::metrics().counter("jit.compiles").value();
+  tel::setEnabled(false);
+  tel::metrics().reset();
+
+  EXPECT_GT(Compiles, 0u) << "no δ-batch VM ran on the baseline tier";
+  ASSERT_EQ(Got.GenClasses.size(), Want.GenClasses.size());
+  for (size_t I = 0; I != Want.GenClasses.size(); ++I) {
+    const GeneratedClass &G = Got.GenClasses[I], &W = Want.GenClasses[I];
+    EXPECT_EQ(G.Name, W.Name) << I;
+    EXPECT_EQ(G.Data, W.Data) << I;
+    EXPECT_EQ(G.Representative, W.Representative) << I;
+    EXPECT_EQ(G.RefPhase, W.RefPhase) << I;
+    EXPECT_EQ(G.DdEncoded, W.DdEncoded) << I;
+  }
+  EXPECT_EQ(Got.TestClassIndices, Want.TestClassIndices);
+  EXPECT_EQ(Got.DdOutcomeCounts, Want.DdOutcomeCounts);
 }

@@ -275,7 +275,7 @@ TEST(Reducer, CacheHitsNeverReinvokeTheOracle) {
     ++Invocations;
     return printsCompleted(Name, Data);
   };
-  ReducerOptions Opts; // Jobs = 1: every oracle call is a committed probe.
+  ReducerOptions Opts;
   ReductionStats Stats;
   auto Reduced = reduceClassfile(Input, Counting, Opts, &Stats);
   ASSERT_TRUE(Reduced.ok()) << Reduced.error();

@@ -4,7 +4,7 @@
 //
 //   classfuzz fuzz    [--algo A] [--iterations N | --time-budget S]
 //                     [--seeds N] [--rng N] [--jobs N] [--out DIR]
-//                     [--incidents DIR] [--reduce] [--reduce-jobs N]
+//                     [--incidents DIR] [--reduce]
 //       run a fuzzing campaign, differentially test the accepted
 //       classfiles on all five JVM profiles (on --jobs worker threads),
 //       write report.md (and the discrepancy-triggering .class files
@@ -27,9 +27,9 @@
 //   classfuzz inspect FILE.class
 //       javap-style + Jimple-style dumps
 //
-//   classfuzz reduce  FILE.class [--out FILE] [--reduce-jobs N]
+//   classfuzz reduce  FILE.class [--out FILE]
 //       chunked hierarchical delta debugging preserving the file's
-//       discrepancy; output bytes are identical for any --reduce-jobs
+//       discrepancy
 //
 //   classfuzz mutators
 //       list the 129 mutation operators
@@ -101,7 +101,6 @@ int usage(std::FILE *To) {
       "                    [--jobs N] [--out DIR] [--progress SECONDS]\n"
       "                    [--tier switch|threaded|baseline] [--tier-diff]\n"
       "                    [--incidents DIR] [--flightrec N] [--reduce]\n"
-      "                    [--reduce-jobs N]\n"
       "                    [--timeseries FILE] [--sample-every K]\n"
       "                    [--sample-filter PREFIXES] [--frontier FILE]\n"
       "                    [--rare-threshold N] [--plateau-window N]\n"
@@ -116,7 +115,7 @@ int usage(std::FILE *To) {
       "  classfuzz analyze FILE.class... [--print | --holes]\n"
       "                    [--env jre5|jre7|jre8|jre9]\n"
       "  classfuzz inspect FILE.class\n"
-      "  classfuzz reduce  FILE.class [--out FILE] [--reduce-jobs N]\n"
+      "  classfuzz reduce  FILE.class [--out FILE]\n"
       "                    [--max-queries N] [--no-chunks]\n"
       "  classfuzz seeds   --out DIR [--seeds N] [--rng N]\n"
       "                    [--corpus-scale N]\n"
@@ -370,12 +369,9 @@ int cmdFuzz(int Argc, char **Argv) {
             "flight-recorder ring capacity per lane (with --incidents)",
             "1024"},
            {"reduce", "",
-            "also reduce each discrepancy into the incident bundle",
+            "also reduce each discrepancy into its incident bundle "
+            "(needs --incidents)",
             ""},
-           {"reduce-jobs", "N",
-            "worker threads per reduction (at most 256); reduced bytes "
-            "are identical across values",
-            "1"},
            {"timeseries", "FILE",
             "stream a delta-encoded JSONL metric time series to FILE, "
             "sampled at the commit stage (byte-identical across --jobs)",
@@ -423,10 +419,14 @@ int cmdFuzz(int Argc, char **Argv) {
   int Exit = 0;
   if (!parseOrExit(A, Argc, Argv, Exit))
     return Exit;
-  size_t Jobs = 1, ReduceJobs = 1;
-  if (!threadCountOrExit(A, "jobs", Jobs, Exit) ||
-      !threadCountOrExit(A, "reduce-jobs", ReduceJobs, Exit))
+  size_t Jobs = 1;
+  if (!threadCountOrExit(A, "jobs", Jobs, Exit))
     return Exit;
+  if (A.has("reduce") && A.get("incidents").empty()) {
+    std::fprintf(stderr, "--reduce writes into incident bundles; add "
+                         "--incidents DIR\n");
+    return 2;
+  }
   TelemetryCli Telem;
   if (!Telem.setup(A))
     return 1;
@@ -682,18 +682,16 @@ int cmdFuzz(int Argc, char **Argv) {
     Inc.Env = EnvSpec;
     if (Discrepancy && A.has("reduce")) {
       // Shrink while preserving the discrepancy category; the candidate
-      // overlay shadows the corpus copy of the mutant. Probe-lane
-      // flight events stay deferred inside each probe's DiffOutcome and
-      // are never committed, so the bundled flightrec.jsonl tail is
-      // byte-identical for any --reduce-jobs value.
+      // overlay shadows the corpus copy of the mutant. The oracle's
+      // DiffOutcomes are never committed, so of the probes only the
+      // reducer's own reducer_query/reducer_kept events reach the
+      // bundled flightrec.jsonl tail.
       const std::string Target = O.encodedString();
       ReductionOracle Oracle = [&](const std::string &Name,
                                    const Bytes &Candidate) {
         return Tester.testClass(Name, Candidate).encodedString() == Target;
       };
-      ReducerOptions ROpts;
-      ROpts.Jobs = ReduceJobs;
-      if (auto Reduced = reduceClassfile(G.Data, Oracle, ROpts)) {
+      if (auto Reduced = reduceClassfile(G.Data, Oracle)) {
         Inc.Reduced = Reduced.take();
         Inc.HasReduced = true;
       }
@@ -1018,10 +1016,6 @@ int cmdReduce(int Argc, char **Argv) {
               withTelemetryFlags(
                   {{"out", "FILE",
                     "output path (default: FILE.class.reduced)", ""},
-                   {"reduce-jobs", "N",
-                    "worker threads probing the oracle (at most 256); "
-                    "reduced bytes are identical across values",
-                    "1"},
                    {"max-queries", "N", "oracle query budget", "10000"},
                    {"no-chunks", "",
                     "disable chunked HDD (one-element-at-a-time "
@@ -1034,9 +1028,6 @@ int cmdReduce(int Argc, char **Argv) {
     std::fputs(A.helpText().c_str(), stderr);
     return 2;
   }
-  ReducerOptions Opts;
-  if (!threadCountOrExit(A, "reduce-jobs", Opts.Jobs, Exit))
-    return Exit;
   TelemetryCli Telem;
   if (!Telem.setup(A))
     return 1;
@@ -1069,6 +1060,7 @@ int cmdReduce(int Argc, char **Argv) {
                                const Bytes &Candidate) {
     return Tester.testClass(Name, Candidate).encodedString() == Target;
   };
+  ReducerOptions Opts;
   Opts.MaxOracleQueries = static_cast<size_t>(A.getUnsigned("max-queries"));
   Opts.ChunkedHdd = !A.has("no-chunks");
   ReductionStats Stats;
