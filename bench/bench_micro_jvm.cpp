@@ -2,21 +2,16 @@
 //
 // Microbenchmarks of the JVM substrate: format checking, verification,
 // full startup with and without coverage collection (the latter gap is
-// what makes randfuzz ~20x cheaper per class in Table 4), and the
-// execution tiers of DESIGN.md §13 over an invoke-heavy workload.
-//
-// `--tier-gate` runs a standalone throughput check instead of the
-// google-benchmark suite: the threaded interpreter must beat the legacy
-// switch interpreter by >= 2x on the invoke-heavy workload (exit 1
-// otherwise). The switch tier re-decodes every method per invocation;
-// the gate keeps the predecoded tiers honest about earning their keep.
+// what makes randfuzz ~20x cheaper per class in Table 4), and the two
+// execution tiers of DESIGN.md §13 over the invoke-heavy workload of
+// InvokeHeavyClass.h. These are timings only; that each tier lowers a
+// method once per Vm, not once per call, is an exact count checked by
+// ExecTiers.InvokeHeavyClassPredecodesEachMethodOncePerVm.
 //
 //===----------------------------------------------------------------------===//
 
+#include "InvokeHeavyClass.h"
 #include "classfile/ClassReader.h"
-#include "classfile/ClassWriter.h"
-#include "classfile/CodeBuilder.h"
-#include "classfile/Opcodes.h"
 #include "jvm/Phase.h"
 #include "jvm/FormatChecker.h"
 #include "jvm/Verifier.h"
@@ -25,9 +20,6 @@
 #include "runtime/SeedCorpus.h"
 
 #include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <cstring>
 
 using namespace classfuzz;
 
@@ -112,73 +104,6 @@ BENCHMARK(BM_StartupAcrossProfiles);
 
 // ---- execution tiers -----------------------------------------------------
 
-/// Invoke-heavy workload: main calls a ~30-instruction static method
-/// 3,000 times. The per-invoke decode of the switch tier pays for every
-/// call; the predecoded tiers pay once. This is the shape fuzzed
-/// classfiles actually have (many small methods, many invocations), so
-/// it is the fair dispatch comparison.
-Bytes makeInvokeHeavyClass() {
-  ClassFile CF;
-  CF.ThisClass = "TierBench";
-  CF.SuperClass = "java/lang/Object";
-  CF.AccessFlags = ACC_PUBLIC | ACC_SUPER;
-  CF.MajorVersion = MajorVersionJava7;
-  {
-    MethodInfo M;
-    M.Name = "step";
-    M.Descriptor = "(I)I";
-    M.AccessFlags = ACC_PUBLIC | ACC_STATIC;
-    CodeBuilder B(CF.CP);
-    B.loadLocal('i', 0);
-    for (int I = 0; I != 9; ++I) {
-      B.pushInt(3);
-      B.emit(OP_imul);
-      B.pushInt(1);
-      B.emit(OP_iadd);
-      B.pushInt(1000);
-      B.emit(OP_irem);
-    }
-    B.emit(OP_ireturn);
-    CodeAttr C;
-    C.MaxStack = 3;
-    C.MaxLocals = 1;
-    C.Code = B.build();
-    M.Code = std::move(C);
-    CF.Methods.push_back(std::move(M));
-  }
-  {
-    MethodInfo Main;
-    Main.Name = "main";
-    Main.Descriptor = "([Ljava/lang/String;)V";
-    Main.AccessFlags = ACC_PUBLIC | ACC_STATIC;
-    CodeBuilder B(CF.CP);
-    B.pushInt(1);
-    B.storeLocal('i', 1);
-    B.pushInt(0);
-    B.storeLocal('i', 2);
-    auto Head = B.newLabel();
-    auto Done = B.newLabel();
-    B.bind(Head);
-    B.loadLocal('i', 2);
-    B.pushInt(3000);
-    B.branch(OP_if_icmpge, Done);
-    B.loadLocal('i', 1);
-    B.invokeStatic("TierBench", "step", "(I)I");
-    B.storeLocal('i', 1);
-    B.iinc(2, 1);
-    B.branch(OP_goto, Head);
-    B.bind(Done);
-    B.emit(OP_return);
-    CodeAttr C;
-    C.MaxStack = 2;
-    C.MaxLocals = 3;
-    C.Code = B.build();
-    Main.Code = std::move(C);
-    CF.Methods.push_back(std::move(Main));
-  }
-  return writeClassFile(CF).take();
-}
-
 struct TierFixture {
   TierFixture() {
     Policy = referenceJvmPolicy();
@@ -207,11 +132,6 @@ void benchTier(benchmark::State &State, ExecTier Tier) {
   }
 }
 
-void BM_InvokeHeavySwitchTier(benchmark::State &State) {
-  benchTier(State, ExecTier::Switch);
-}
-BENCHMARK(BM_InvokeHeavySwitchTier);
-
 void BM_InvokeHeavyThreadedTier(benchmark::State &State) {
   benchTier(State, ExecTier::Threaded);
 }
@@ -222,63 +142,6 @@ void BM_InvokeHeavyBaselineTier(benchmark::State &State) {
 }
 BENCHMARK(BM_InvokeHeavyBaselineTier);
 
-/// The --tier-gate mode: threaded must be >= 2x switch throughput.
-int runTierGate() {
-  TierFixture &F = tierFixture();
-  constexpr int Runs = 20;
-  double Seconds[3] = {};
-  const ExecTier Tiers[] = {ExecTier::Switch, ExecTier::Threaded,
-                            ExecTier::Baseline};
-  for (size_t T = 0; T != 3; ++T) {
-    JvmPolicy P = F.Policy;
-    P.Tier = Tiers[T];
-    {
-      Vm Warm(P, F.Env);
-      if (!Warm.run("TierBench").Invoked) {
-        std::fprintf(stderr, "tier gate: %s tier failed to run the "
-                             "workload\n",
-                     execTierName(Tiers[T]));
-        return 1;
-      }
-    }
-    auto Start = std::chrono::steady_clock::now();
-    for (int I = 0; I != Runs; ++I) {
-      Vm Jvm(P, F.Env);
-      JvmResult R = Jvm.run("TierBench");
-      benchmark::DoNotOptimize(R.Invoked);
-    }
-    Seconds[T] = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - Start)
-                     .count();
-    std::printf("%-9s %8.2f ms/run\n", execTierName(Tiers[T]),
-                Seconds[T] * 1000 / Runs);
-  }
-  const double RequiredSpeedup = 2.0;
-  double ThreadedSpeedup = Seconds[0] / Seconds[1];
-  double BaselineSpeedup = Seconds[0] / Seconds[2];
-  std::printf("threaded  %.2fx over switch (gate: >= %.0fx)\n",
-              ThreadedSpeedup, RequiredSpeedup);
-  std::printf("baseline  %.2fx over switch (ungated)\n", BaselineSpeedup);
-  if (ThreadedSpeedup < RequiredSpeedup) {
-    std::fprintf(stderr,
-                 "** tier gate FAILED: threaded %.2fx < %.0fx over the "
-                 "switch interpreter **\n",
-                 ThreadedSpeedup, RequiredSpeedup);
-    return 1;
-  }
-  return 0;
-}
-
 } // namespace
 
-int main(int argc, char **argv) {
-  for (int I = 1; I != argc; ++I)
-    if (std::strcmp(argv[I], "--tier-gate") == 0)
-      return runTierGate();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -45,8 +45,8 @@ inline void covStmt(CoverageRecorder *Cov, uint32_t Id) {
 } // namespace classfuzz
 
 /// Declares this translation unit's probe namespace. \p Id must be unique
-/// across the jvm module (documented in jvm/README: 1=FormatChecker,
-/// 2=Verifier, 3=Vm, 4=Interp, 5=Resolver).
+/// across the jvm module: 1=FormatChecker, 2=Verifier, 3=Vm, 4=Interp
+/// (the execution tiers' named sites in jvm/ExecProbes.h share 4).
 #define CF_COV_FILE(Id)                                                        \
   namespace {                                                                  \
   constexpr uint32_t CovFileId = (Id);                                         \

@@ -125,9 +125,14 @@ DifferentialTester DifferentialTester::withAllProfiles(
 DifferentialTester DifferentialTester::withTieredProfiles(
     const ClassPath &Extra, EnvironmentMode Mode, ExecTier Tier,
     bool TierDiff, const std::string &SharedLibVersion) {
+  // JitTelemetry is off on every profile, so no run here publishes jit.*
+  // counters at engine teardown -- neither the difftest workers nor the
+  // reducer's oracle calls, whose outcomes are never committed. jit.*
+  // then counts campaign work only.
   std::vector<ProfileDesc> Descs;
   for (JvmPolicy P : allJvmPolicies()) {
     P.Tier = Tier;
+    P.JitTelemetry = false;
     ProfileDesc D;
     D.Name = P.Name;
     D.Tier = Tier;
@@ -137,10 +142,7 @@ DifferentialTester DifferentialTester::withTieredProfiles(
   std::optional<std::pair<size_t, size_t>> Pair;
   if (TierDiff) {
     // The tier pair: the reference policy on the threaded-interpreter
-    // and baseline tiers. JitTelemetry is off for the pair, so its runs
-    // publish no jit.* counters at engine teardown -- neither from the
-    // difftest workers nor from the reducer's oracle calls, whose
-    // outcomes are never committed.
+    // and baseline tiers.
     JvmPolicy Ref = referenceJvmPolicy();
     Ref.JitTelemetry = false;
     Pair.emplace(Descs.size(), Descs.size() + 1);

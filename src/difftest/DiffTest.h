@@ -125,7 +125,9 @@ public:
   /// \p TierDiff two more profiles are appended -- the reference policy
   /// on the threaded-interpreter and baseline tiers, named
   /// "<ref>~threaded" / "<ref>~baseline" -- and registered as the tier
-  /// pair whose disagreement sets DiffOutcome::TierDisagreement.
+  /// pair whose disagreement sets DiffOutcome::TierDisagreement. Every
+  /// profile has JvmPolicy::JitTelemetry off: difftest and reducer runs
+  /// publish no jit.* counters, which count campaign work only.
   static DifferentialTester
   withTieredProfiles(const ClassPath &Extra, EnvironmentMode Mode,
                      ExecTier Tier, bool TierDiff,

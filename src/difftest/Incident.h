@@ -48,8 +48,8 @@ struct Incident {
   DiffOutcome Outcome;
   /// Names of the profiles Outcome ran on, in Encoded order.
   std::vector<std::string> ProfileNames;
-  /// Execution tier of each profile ("switch"/"threaded"/"baseline"),
-  /// in Encoded order. Empty entries (or a short vector) default to
+  /// Execution tier of each profile ("threaded"/"baseline"), in Encoded
+  /// order. Empty entries (or a short vector) default to
   /// "threaded" in outcomes.json, so pre-tier callers stay valid.
   std::vector<std::string> ProfileTiers;
   Provenance Prov;

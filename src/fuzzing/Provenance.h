@@ -77,9 +77,9 @@ struct CampaignEnvSpec {
   std::string SeedDir;
   /// Reference JVM policy name (resolved against allJvmPolicies()).
   std::string ReferencePolicyName;
-  /// Execution tier the campaign ran on ("switch"/"threaded"/
-  /// "baseline"). Empty in pre-tier bundles; replay then warns and
-  /// defaults to threaded.
+  /// Execution tier the campaign ran on ("threaded"/"baseline"). Empty
+  /// in pre-tier bundles; replay then warns and defaults to threaded,
+  /// as it does for a tier it no longer knows (e.g. "switch").
   std::string TierName;
   /// Whether the campaign ran with --tier-diff (the two extra tier
   /// profiles change the encoded-sequence length, so replay must know).

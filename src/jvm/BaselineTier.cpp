@@ -1,23 +1,17 @@
 //===- jvm/BaselineTier.cpp - Baseline template compilation tier ---------===//
 //
-// The baseline tier compiles a method once into a flat array of
+// The baseline tier compiles a method once per Vm into a flat array of
 // pre-bound op thunks -- one function pointer per predecoded
 // instruction, the template-JIT shape of ART's jit_code_cache.cc without
-// emitting machine code -- and executes by indexing that array. Member
-// sites carry monomorphic inline caches, so repeated field accesses and
-// invokes skip re-resolution; compiled methods live in a bounded LRU
-// code cache whose traffic is published as the jit.* telemetry counters.
-//
-// Inline-cache hits are trace-safe: a cache fills only after a fully
-// successful slow path, the repeat slow path is deterministic in the
-// same arguments, and tracefiles are sets -- so the probes a hit skips
-// are exactly ones the filling miss already recorded.
+// emitting machine code -- and executes by indexing that array. The
+// thunks call the same op bodies as the threaded tier (ExecHandlers.h);
+// only the dispatch differs. Compiles and code-cache hits are published
+// as the jit.* telemetry counters.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jvm/ExecHandlers.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -97,15 +91,11 @@ const Thunk ThunkTable[NumHandlers] = {
 
 } // namespace
 
-/// One method's compiled form: the lowered stream, the pre-bound thunk
-/// per instruction, and the member-site inline caches. Held by
-/// shared_ptr so an LRU eviction cannot free a method that a frame on
-/// the call stack is still executing.
+/// One method's compiled form: the lowered stream and the pre-bound
+/// thunk per instruction.
 struct BaselineCompiledMethod {
   PredecodedMethod PM;
   std::vector<Thunk> Thunks;
-  InlineCaches IC;
-  uint64_t LastUse = 0;
 };
 
 /// The baseline template tier.
@@ -125,12 +115,10 @@ public:
 
   bool invoke(Vm::LoadedClass &LC, const MethodInfo &M,
               std::vector<Value> Args, Value &Ret) override {
-    // The frame's pin: keeps the compiled method alive across nested
-    // invokes even if they evict it from the cache.
-    std::shared_ptr<BaselineCompiledMethod> CM;
-    auto Fetch = [&]() -> FetchedMethod {
-      CM = fetchCompiled(LC, M);
-      return {&CM->PM, &CM->IC};
+    const BaselineCompiledMethod *CM = nullptr;
+    auto Fetch = [&]() -> const PredecodedMethod & {
+      CM = &fetchCompiled(LC, M);
+      return CM->PM;
     };
     auto Dispatch = [&](ExecContext &C) -> Ctl {
       return CM->Thunks[C.Index](C, C.PM.Insns[C.Index]);
@@ -140,48 +128,28 @@ public:
   }
 
 private:
-  std::shared_ptr<BaselineCompiledMethod>
-  fetchCompiled(Vm::LoadedClass &LC, const MethodInfo &M) {
-    ++UseTick;
+  const BaselineCompiledMethod &fetchCompiled(Vm::LoadedClass &LC,
+                                              const MethodInfo &M) {
     auto It = Cache.find(&M);
     if (It != Cache.end()) {
       ++Stats.CacheHits;
-      It->second->LastUse = UseTick;
       return It->second;
     }
-
-    uint32_t Capacity = std::max<uint32_t>(1, VM.Policy.JitCacheCapacity);
-    if (Cache.size() >= Capacity) {
-      auto Victim = Cache.begin();
-      for (auto I = Cache.begin(); I != Cache.end(); ++I)
-        if (I->second->LastUse < Victim->second->LastUse)
-          Victim = I;
-      Cache.erase(Victim);
-      ++Stats.Evictions;
-    }
-
-    auto CM = std::make_shared<BaselineCompiledMethod>();
-    CM->PM = predecodeMethod(LC.CF, M);
-    CM->Thunks.reserve(CM->PM.Insns.size());
-    for (const PInsn &P : CM->PM.Insns)
-      CM->Thunks.push_back(ThunkTable[P.Handler]);
-    CM->IC.Fields.resize(CM->PM.MemberSites.size());
-    CM->IC.Methods.resize(CM->PM.MemberSites.size());
-    CM->IC.Stats = &Stats;
-    CM->LastUse = UseTick;
+    BaselineCompiledMethod &CM = Cache[&M];
+    CM.PM = predecodeMethod(LC.CF, M);
+    CM.Thunks.reserve(CM.PM.Insns.size());
+    for (const PInsn &P : CM.PM.Insns)
+      CM.Thunks.push_back(ThunkTable[P.Handler]);
     ++Stats.Compiles;
-    Cache.emplace(&M, CM);
     return CM;
   }
 
   JitStats Stats;
-  /// The bounded code cache. MethodInfo pointers are stable (the class
-  /// registry never moves or frees them); eviction picks the least
-  /// recently used entry by monotonic tick, so cache traffic is
-  /// deterministic for a given run.
-  std::map<const MethodInfo *, std::shared_ptr<BaselineCompiledMethod>>
-      Cache;
-  uint64_t UseTick = 0;
+  /// Compiled methods, one per MethodInfo. MethodInfo objects live in the
+  /// Vm's class registry and are never moved or freed, so the pointer key
+  /// is stable; std::map never moves its values, so a frame's reference
+  /// survives the compiles of nested invokes.
+  std::map<const MethodInfo *, BaselineCompiledMethod> Cache;
 };
 
 std::unique_ptr<ExecEngine> makeBaselineEngine(Vm &VM) {

@@ -15,47 +15,17 @@ void JitStats::publish() const {
       telemetry::metrics().counter("jit.compiles");
   static telemetry::Counter &CacheHitsCtr =
       telemetry::metrics().counter("jit.cache_hits");
-  static telemetry::Counter &EvictionsCtr =
-      telemetry::metrics().counter("jit.evictions");
-  static telemetry::Counter &IcHitsCtr =
-      telemetry::metrics().counter("jit.ic_hits");
-  static telemetry::Counter &IcMissesCtr =
-      telemetry::metrics().counter("jit.ic_misses");
   CompilesCtr.inc(Compiles);
   CacheHitsCtr.inc(CacheHits);
-  EvictionsCtr.inc(Evictions);
-  IcHitsCtr.inc(IcHits);
-  IcMissesCtr.inc(IcMisses);
 }
-
-/// The legacy per-invoke-decoding switch interpreter, unchanged in
-/// Interp.cpp and kept as the semantic baseline the fast tiers are
-/// differenced against. At namespace scope (not anonymous) so Vm's
-/// friend declaration reaches it.
-class SwitchEngine : public ExecEngine {
-public:
-  explicit SwitchEngine(Vm &VM) : ExecEngine(VM) {}
-  ExecTier tier() const override { return ExecTier::Switch; }
-  bool invoke(Vm::LoadedClass &LC, const MethodInfo &M,
-              std::vector<Value> Args, Value &Ret) override {
-    return VM.switchInvoke(LC, M, std::move(Args), Ret);
-  }
-};
 
 // Defined in ThreadedInterp.cpp / BaselineTier.cpp.
 std::unique_ptr<ExecEngine> makeThreadedEngine(Vm &VM);
 std::unique_ptr<ExecEngine> makeBaselineEngine(Vm &VM);
 
 std::unique_ptr<ExecEngine> makeExecEngine(Vm &VM, ExecTier Tier) {
-  switch (Tier) {
-  case ExecTier::Switch:
-    return std::make_unique<SwitchEngine>(VM);
-  case ExecTier::Threaded:
-    return makeThreadedEngine(VM);
-  case ExecTier::Baseline:
-    return makeBaselineEngine(VM);
-  }
-  return makeThreadedEngine(VM);
+  return Tier == ExecTier::Baseline ? makeBaselineEngine(VM)
+                                    : makeThreadedEngine(VM);
 }
 
 } // namespace classfuzz

@@ -9,18 +9,18 @@
 /// lives (DESIGN.md §13). A Vm owns exactly one engine, selected by its
 /// policy's ExecTier:
 ///
-///  * SwitchEngine   -- the legacy per-invoke-decoding switch interpreter
-///                      (Interp.cpp), kept as the semantic baseline;
 ///  * ThreadedEngine -- token-threaded dispatch over the shared
 ///                      predecoded instruction stream (ThreadedInterp.cpp);
-///  * BaselineEngine -- the baseline template tier: per-method thunk
-///                      arrays with inline caches, in a bounded LRU code
-///                      cache (BaselineTier.h).
+///  * BaselineEngine -- the baseline template tier: one array of
+///                      pre-bound op thunks per method (BaselineTier.cpp).
 ///
-/// Contract: for any (policy, environment, class) the three tiers
-/// produce identical JvmResult, abort phase/kind, and coverage traces.
-/// The step budget is charged exactly once per executed instruction in
-/// every tier, so a mutant cannot dodge MaxInterpSteps by tiering up.
+/// Both run the op bodies of jvm/ExecHandlers.h and keep a plain per-Vm
+/// map of lowered methods; they differ only in dispatch. Contract: for
+/// any (policy, environment, class) the two tiers produce identical
+/// JvmResult, abort phase/kind, and coverage traces, and that result is
+/// pinned per input by tests/golden/exec_tiers.jsonl. The step budget is
+/// charged exactly once per executed instruction in both tiers, so a
+/// mutant cannot dodge MaxInterpSteps by tiering up.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,23 +35,17 @@
 
 namespace classfuzz {
 
-/// Counters of the baseline tier's code cache and inline caches. Local
-/// to one engine (one Vm); published to the global jit.* telemetry
-/// counters at engine teardown unless the policy defers that to a
-/// campaign commit stage (JvmPolicy::JitTelemetry).
+/// Counters of the baseline tier's code cache. Local to one engine (one
+/// Vm); published to the global jit.* telemetry counters at engine
+/// teardown unless the policy defers that to a campaign commit stage
+/// (JvmPolicy::JitTelemetry).
 struct JitStats {
   uint64_t Compiles = 0;  ///< Methods compiled to thunk arrays.
   uint64_t CacheHits = 0; ///< Invocations served from the code cache.
-  uint64_t Evictions = 0; ///< LRU evictions (capacity pressure).
-  uint64_t IcHits = 0;    ///< Inline-cache hits (field/method sites).
-  uint64_t IcMisses = 0;  ///< Inline-cache misses (slow-path resolutions).
 
   void merge(const JitStats &O) {
     Compiles += O.Compiles;
     CacheHits += O.CacheHits;
-    Evictions += O.Evictions;
-    IcHits += O.IcHits;
-    IcMisses += O.IcMisses;
   }
   /// Adds these stats to the global jit.* telemetry counters (no-op when
   /// telemetry is disabled).

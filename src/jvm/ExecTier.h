@@ -23,37 +23,23 @@
 
 namespace classfuzz {
 
-/// The three bytecode execution pipelines.
+/// The two bytecode execution pipelines. Both run the one set of op
+/// bodies in jvm/ExecHandlers.h; they differ only in dispatch.
 enum class ExecTier : uint8_t {
-  /// The legacy per-invoke-decoding switch interpreter (the original
-  /// monolithic dispatch loop, kept as the semantic baseline and the
-  /// slow end of the throughput gate).
-  Switch,
   /// Token-threaded interpreter over the shared predecoded instruction
   /// stream (computed goto where the compiler supports it).
   Threaded,
   /// Baseline template tier: per-method flat arrays of pre-bound op
-  /// thunks with inline-cached resolution, managed by a bounded
-  /// LRU code cache.
+  /// thunks, compiled once per method per Vm.
   Baseline,
 };
 
 inline const char *execTierName(ExecTier Tier) {
-  switch (Tier) {
-  case ExecTier::Switch:
-    return "switch";
-  case ExecTier::Threaded:
-    return "threaded";
-  case ExecTier::Baseline:
-    return "baseline";
-  }
-  return "threaded";
+  return Tier == ExecTier::Baseline ? "baseline" : "threaded";
 }
 
 /// Parses a --tier spelling; nullopt for anything unrecognized.
 inline std::optional<ExecTier> parseExecTier(const std::string &Name) {
-  if (Name == "switch")
-    return ExecTier::Switch;
   if (Name == "threaded")
     return ExecTier::Threaded;
   if (Name == "baseline")

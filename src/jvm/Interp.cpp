@@ -1,22 +1,18 @@
-//===- jvm/Interp.cpp - Bytecode interpreter and object model ------------===//
+//===- jvm/Interp.cpp - Object model and runtime services ----------------===//
 //
-// The invocation & execution phase of the startup pipeline: a simple
-// switch interpreter over the decoded instruction stream, with a modeled
-// heap, built-in exception throwing, and a native-method registry for the
-// runtime library's primitives (println, Object.<init>, ...).
+// What the execution tiers call back into during the invocation phase:
+// the modeled heap, built-in exception throwing, method and field
+// resolution, member access control, and a native-method registry for
+// the runtime library's primitives (println, Object.<init>, ...). The
+// op semantics themselves live once, in jvm/ExecHandlers.h.
 //
 //===----------------------------------------------------------------------===//
 
 #include "jvm/Vm.h"
 
 #include "classfile/Descriptor.h"
-#include "classfile/Opcodes.h"
 #include "coverage/Probes.h"
-#include "jvm/ExecProbes.h"
-#include "jvm/FormatChecker.h"
 #include "jvm/Verifier.h"
-
-#include <cassert>
 
 CF_COV_FILE(4)
 
@@ -135,21 +131,6 @@ Vm::LoadedClass *Vm::resolveField(const std::string &ClassName,
   }
   return nullptr;
 }
-
-namespace {
-
-/// Splits "name:descriptor" static/instance field keys.
-std::string fieldKey(const std::string &Name, const std::string &Desc) {
-  return Name + ":" + Desc;
-}
-
-std::string packageOf(const std::string &InternalName) {
-  size_t Slash = InternalName.rfind('/');
-  return Slash == std::string::npos ? std::string()
-                                    : InternalName.substr(0, Slash);
-}
-
-} // namespace
 
 bool Vm::checkMemberAccess(const std::string &Referencing,
                            const std::string &Holder,
@@ -291,743 +272,4 @@ bool Vm::callNative(LoadedClass &LC, const MethodInfo &M,
       Ret = Value::makeInt(0);
   }
   return true;
-}
-
-bool Vm::switchInvoke(LoadedClass &LC, const MethodInfo &M,
-                      std::vector<Value> Args, Value &Ret) {
-  covStmt(Cov, exec_probes::id(exec_probes::InvokeEntry));
-  if (Aborted)
-    return false;
-  if (covBranch(Cov, exec_probes::id(exec_probes::DepthExceeded),
-                CallDepth >= Policy.MaxCallDepth)) {
-    abort(CurrentPhase, JvmErrorKind::StackOverflowError,
-          "call depth exceeded in " + LC.CF.ThisClass + "." + M.Name);
-    return false;
-  }
-
-  if (M.isNative())
-    return callNative(LC, M, Args, Ret);
-
-  if (covBranch(Cov, exec_probes::id(exec_probes::MissingCode), !M.Code)) {
-    // ensureInvocable should have rejected this; raise the deferred error.
-    abort(CurrentPhase, JvmErrorKind::ClassFormatError,
-          "method " + M.Name + M.Descriptor + " lacks a Code attribute");
-    return false;
-  }
-
-  // Decode the whole method up front.
-  std::map<uint32_t, Insn> Insns;
-  {
-    InsnDecoder Decoder(M.Code->Code);
-    Insn I;
-    while (Decoder.decodeNext(I))
-      Insns[I.Offset] = I;
-    if (covBranch(Cov, exec_probes::id(exec_probes::MalformedBytecode),
-                  !Decoder.valid() || Insns.empty())) {
-      abort(CurrentPhase, JvmErrorKind::VerifyError,
-            "malformed bytecode reached execution in " + M.Name);
-      return false;
-    }
-  }
-
-  ++CallDepth;
-
-  // Locals: sized by max_locals, but never smaller than the arguments.
-  size_t ArgSlots = 0;
-  for (const Value &V : Args)
-    ArgSlots += (V.T == Value::Tag::Long || V.T == Value::Tag::Double) ? 2 : 1;
-  std::vector<Value> Locals(std::max<size_t>(M.Code->MaxLocals, ArgSlots));
-  {
-    size_t Slot = 0;
-    for (const Value &V : Args) {
-      Locals[Slot] = V;
-      Slot += (V.T == Value::Tag::Long || V.T == Value::Tag::Double) ? 2 : 1;
-    }
-  }
-
-  std::vector<Value> Stack;
-  uint32_t Pc = 0;
-
-  auto popv = [&]() -> Value {
-    if (Stack.empty()) {
-      abort(CurrentPhase, JvmErrorKind::InternalError,
-            "operand stack underflow at runtime");
-      return Value();
-    }
-    Value V = Stack.back();
-    Stack.pop_back();
-    return V;
-  };
-
-  auto finish = [&](bool Ok) {
-    --CallDepth;
-    return Ok;
-  };
-
-  ClassLookupFn Lookup = [this](const std::string &N) {
-    return lookupClassFile(N);
-  };
-
-  for (;;) {
-    if (Aborted)
-      return finish(false);
-    if (PendingException != 0) {
-      // Search this frame's exception table.
-      bool Handled = false;
-      for (const ExceptionTableEntry &E : M.Code->ExceptionTable) {
-        if (Pc < E.StartPc || Pc >= E.EndPc)
-          continue;
-        if (!E.CatchType.empty() &&
-            !refInstanceOf(PendingException, E.CatchType))
-          continue;
-        Stack.clear();
-        Stack.push_back(Value::makeRef(PendingException));
-        PendingException = 0;
-        Pc = E.HandlerPc;
-        Handled = true;
-        break;
-      }
-      if (!Handled)
-        return finish(false); // Unwind to the caller.
-      continue;
-    }
-
-    if (covBranch(Cov, exec_probes::id(exec_probes::BudgetExhausted),
-                  StepsRemaining == 0)) {
-      abort(CurrentPhase, JvmErrorKind::InternalError,
-            "interpreter step budget exhausted");
-      return finish(false);
-    }
-    --StepsRemaining;
-
-    auto It = Insns.find(Pc);
-    if (covBranch(Cov, exec_probes::id(exec_probes::FellOffCode),
-                  It == Insns.end())) {
-      abort(CurrentPhase, JvmErrorKind::VerifyError,
-            "execution fell off the code of " + M.Name);
-      return finish(false);
-    }
-    const Insn &I = It->second;
-    uint32_t NextPc = Pc + I.Length;
-    uint8_t Op = I.Op;
-
-    // Per-opcode statement probe (the interpreter dispatch analog of
-    // statement coverage over bytecodeInterpreter.cpp).
-    covStmt(Cov, exec_probes::opcodeId(Op));
-
-    switch (Op) {
-    case OP_nop:
-      break;
-    case OP_aconst_null:
-      Stack.push_back(Value::null());
-      break;
-    case OP_bipush:
-    case OP_sipush:
-      Stack.push_back(Value::makeInt(I.Operand1));
-      break;
-    case OP_lconst_0:
-    case OP_lconst_1:
-      Stack.push_back(Value::makeLong(Op - OP_lconst_0));
-      break;
-    case OP_ldc:
-    case OP_ldc_w:
-    case OP_ldc2_w: {
-      uint16_t Index = static_cast<uint16_t>(I.Operand1);
-      if (!LC.CF.CP.isValidIndex(Index)) {
-        abort(CurrentPhase, JvmErrorKind::VerifyError,
-              "ldc of invalid constant pool index");
-        return finish(false);
-      }
-      const CpEntry &E = LC.CF.CP.at(Index);
-      switch (E.Tag) {
-      case CpTag::Integer:
-        Stack.push_back(Value::makeInt(E.IntValue));
-        break;
-      case CpTag::Float:
-        Stack.push_back(Value::makeFloat(E.FloatValue));
-        break;
-      case CpTag::Long:
-        Stack.push_back(Value::makeLong(E.LongValue));
-        break;
-      case CpTag::Double:
-        Stack.push_back(Value::makeDouble(E.DoubleValue));
-        break;
-      case CpTag::String: {
-        auto S = LC.CF.CP.getUtf8(E.Ref1);
-        Stack.push_back(Value::makeRef(allocString(S ? *S : "")));
-        break;
-      }
-      case CpTag::Class:
-        Stack.push_back(Value::makeRef(allocObject("java/lang/Class")));
-        break;
-      default:
-        abort(CurrentPhase, JvmErrorKind::VerifyError,
-              "ldc of unloadable constant");
-        return finish(false);
-      }
-      break;
-    }
-    case OP_iinc:
-      if (static_cast<size_t>(I.Operand1) < Locals.size())
-        Locals[I.Operand1].I += I.Operand2;
-      break;
-    case OP_goto:
-    case OP_goto_w:
-      NextPc = static_cast<uint32_t>(I.Operand1);
-      break;
-    case OP_return:
-      return finish(true);
-    case OP_ireturn:
-    case OP_lreturn:
-    case OP_freturn:
-    case OP_dreturn:
-    case OP_areturn:
-      Ret = popv();
-      return finish(!Aborted);
-    case OP_athrow: {
-      Value V = popv();
-      if (V.isNull())
-        throwBuiltin(JvmErrorKind::NullPointerException,
-                     "java/lang/NullPointerException", "athrow of null");
-      else
-        PendingException = V.R;
-      continue; // Re-enter loop for handler search at current Pc.
-    }
-    case OP_pop:
-      popv();
-      break;
-    case OP_pop2:
-      popv();
-      if (!Stack.empty() && Stack.back().T != Value::Tag::Long &&
-          Stack.back().T != Value::Tag::Double)
-        popv();
-      break;
-    case OP_dup: {
-      Value V = popv();
-      Stack.push_back(V);
-      Stack.push_back(V);
-      break;
-    }
-    case OP_dup_x1: {
-      Value A = popv(), B = popv();
-      Stack.push_back(A);
-      Stack.push_back(B);
-      Stack.push_back(A);
-      break;
-    }
-    case OP_swap: {
-      Value A = popv(), B = popv();
-      Stack.push_back(A);
-      Stack.push_back(B);
-      break;
-    }
-    case OP_arraylength: {
-      Value V = popv();
-      HeapObject *Arr = deref(V.R);
-      if (!Arr) {
-        throwBuiltin(JvmErrorKind::NullPointerException,
-                     "java/lang/NullPointerException", "arraylength");
-        continue;
-      }
-      Stack.push_back(
-          Value::makeInt(static_cast<int32_t>(Arr->Elems.size())));
-      break;
-    }
-    case OP_newarray: {
-      Value Len = popv();
-      if (Len.asInt() < 0) {
-        throwBuiltin(JvmErrorKind::NegativeArraySizeException,
-                     "java/lang/NegativeArraySizeException",
-                     std::to_string(Len.asInt()));
-        continue;
-      }
-      int32_t Ref = allocObject("[I");
-      if (Aborted)
-        return finish(false);
-      Heap[Ref - 1].IsArray = true;
-      Heap[Ref - 1].Elems.assign(static_cast<size_t>(Len.asInt()),
-                                 Value::makeInt(0));
-      Stack.push_back(Value::makeRef(Ref));
-      break;
-    }
-    case OP_anewarray: {
-      Value Len = popv();
-      auto Name =
-          LC.CF.CP.getClassName(static_cast<uint16_t>(I.Operand1));
-      if (Len.asInt() < 0) {
-        throwBuiltin(JvmErrorKind::NegativeArraySizeException,
-                     "java/lang/NegativeArraySizeException",
-                     std::to_string(Len.asInt()));
-        continue;
-      }
-      int32_t Ref =
-          allocArray(Name ? *Name : "java/lang/Object", Len.asInt());
-      if (Aborted)
-        return finish(false);
-      Stack.push_back(Value::makeRef(Ref));
-      break;
-    }
-    case OP_iaload:
-    case OP_aaload: {
-      Value Index = popv();
-      Value ArrV = popv();
-      HeapObject *Arr = deref(ArrV.R);
-      if (!Arr) {
-        throwBuiltin(JvmErrorKind::NullPointerException,
-                     "java/lang/NullPointerException", "array load");
-        continue;
-      }
-      int32_t Idx = Index.asInt();
-      if (Idx < 0 || static_cast<size_t>(Idx) >= Arr->Elems.size()) {
-        throwBuiltin(JvmErrorKind::ArrayIndexOutOfBoundsException,
-                     "java/lang/ArrayIndexOutOfBoundsException",
-                     std::to_string(Idx));
-        continue;
-      }
-      Stack.push_back(Arr->Elems[Idx]);
-      break;
-    }
-    case OP_iastore:
-    case OP_aastore: {
-      Value V = popv();
-      Value Index = popv();
-      Value ArrV = popv();
-      HeapObject *Arr = deref(ArrV.R);
-      if (!Arr) {
-        throwBuiltin(JvmErrorKind::NullPointerException,
-                     "java/lang/NullPointerException", "array store");
-        continue;
-      }
-      int32_t Idx = Index.asInt();
-      if (Idx < 0 || static_cast<size_t>(Idx) >= Arr->Elems.size()) {
-        throwBuiltin(JvmErrorKind::ArrayIndexOutOfBoundsException,
-                     "java/lang/ArrayIndexOutOfBoundsException",
-                     std::to_string(Idx));
-        continue;
-      }
-      Arr->Elems[Idx] = V;
-      break;
-    }
-    case OP_new: {
-      auto Name =
-          LC.CF.CP.getClassName(static_cast<uint16_t>(I.Operand1));
-      if (!Name) {
-        abort(CurrentPhase, JvmErrorKind::VerifyError,
-              "new of invalid class constant");
-        return finish(false);
-      }
-      LoadedClass *Target = loadClass(*Name);
-      if (!Target)
-        return finish(false);
-      if (!initializeClass(*Target))
-        return finish(false);
-      if (Target->CF.isInterface() ||
-          (Target->CF.AccessFlags & ACC_ABSTRACT)) {
-        abort(CurrentPhase, JvmErrorKind::InstantiationError, *Name);
-        return finish(false);
-      }
-      int32_t Ref = allocObject(*Name);
-      if (Aborted)
-        return finish(false);
-      Stack.push_back(Value::makeRef(Ref));
-      break;
-    }
-    case OP_checkcast: {
-      auto Name =
-          LC.CF.CP.getClassName(static_cast<uint16_t>(I.Operand1));
-      // Resolution happens when the instruction executes (JVMS §5.4.3):
-      // a missing class raises NoClassDefFoundError even for null.
-      if (Name && !loadClass(*Name))
-        return finish(false);
-      Value V = popv();
-      if (!V.isNull() && Name && !refInstanceOf(V.R, *Name)) {
-        throwBuiltin(JvmErrorKind::ClassCastException,
-                     "java/lang/ClassCastException",
-                     classOfRef(V.R) + " cannot be cast to " + *Name);
-        continue;
-      }
-      Stack.push_back(V);
-      break;
-    }
-    case OP_instanceof: {
-      auto Name =
-          LC.CF.CP.getClassName(static_cast<uint16_t>(I.Operand1));
-      if (Name && !loadClass(*Name))
-        return finish(false);
-      Value V = popv();
-      Stack.push_back(Value::makeInt(
-          !V.isNull() && Name && refInstanceOf(V.R, *Name) ? 1 : 0));
-      break;
-    }
-    case OP_monitorenter:
-    case OP_monitorexit:
-      popv(); // Single-threaded model: monitors are no-ops.
-      break;
-    case OP_getstatic:
-    case OP_putstatic: {
-      auto Ref = LC.CF.CP.getMemberRef(static_cast<uint16_t>(I.Operand1));
-      if (!Ref) {
-        abort(CurrentPhase, JvmErrorKind::VerifyError, Ref.error());
-        return finish(false);
-      }
-      LoadedClass *Holder =
-          resolveField(Ref->ClassName, Ref->Name, Ref->Descriptor);
-      if (Aborted)
-        return finish(false);
-      if (covBranch(Cov, exec_probes::id(exec_probes::FieldMissing),
-                    !Holder)) {
-        abort(CurrentPhase, JvmErrorKind::NoSuchFieldError,
-              Ref->ClassName + "." + Ref->Name);
-        return finish(false);
-      }
-      const FieldInfo *Field = Holder->CF.findField(Ref->Name);
-      if (covBranch(Cov,
-                    exec_probes::id(exec_probes::FieldStaticMismatch),
-                    Field && !Field->isStatic())) {
-        abort(CurrentPhase, JvmErrorKind::IncompatibleClassChangeError,
-              "expected static field " + Ref->Name);
-        return finish(false);
-      }
-      if (Field &&
-          !checkMemberAccess(LC.CF.ThisClass, Holder->CF.ThisClass,
-                             Field->AccessFlags, Ref->Name))
-        return finish(false);
-      if (!initializeClass(*Holder))
-        return finish(false);
-      std::string Key = fieldKey(Ref->Name, Ref->Descriptor);
-      if (Op == OP_getstatic) {
-        Stack.push_back(Holder->Statics[Key]);
-      } else {
-        Holder->Statics[Key] = popv();
-      }
-      break;
-    }
-    case OP_getfield:
-    case OP_putfield: {
-      auto Ref = LC.CF.CP.getMemberRef(static_cast<uint16_t>(I.Operand1));
-      if (!Ref) {
-        abort(CurrentPhase, JvmErrorKind::VerifyError, Ref.error());
-        return finish(false);
-      }
-      Value Stored;
-      if (Op == OP_putfield)
-        Stored = popv();
-      Value Receiver = popv();
-      HeapObject *Obj = deref(Receiver.R);
-      if (!Obj) {
-        throwBuiltin(JvmErrorKind::NullPointerException,
-                     "java/lang/NullPointerException",
-                     "field access on null");
-        continue;
-      }
-      std::string Key = fieldKey(Ref->Name, Ref->Descriptor);
-      if (Op == OP_getfield) {
-        auto FieldIt = Obj->Fields.find(Key);
-        Stack.push_back(FieldIt != Obj->Fields.end() ? FieldIt->second
-                                                     : Value::null());
-      } else {
-        Obj->Fields[Key] = Stored;
-      }
-      break;
-    }
-    case OP_invokestatic:
-    case OP_invokevirtual:
-    case OP_invokespecial:
-    case OP_invokeinterface: {
-      auto Ref = LC.CF.CP.getMemberRef(static_cast<uint16_t>(I.Operand1));
-      if (!Ref) {
-        abort(CurrentPhase, JvmErrorKind::VerifyError, Ref.error());
-        return finish(false);
-      }
-      MethodDescriptor MD;
-      if (!parseMethodDescriptor(Ref->Descriptor, MD)) {
-        abort(CurrentPhase, JvmErrorKind::VerifyError,
-              "malformed descriptor at invoke: " + Ref->Descriptor);
-        return finish(false);
-      }
-      // Pop arguments (right to left), then the receiver if any.
-      std::vector<Value> CallArgs(MD.Params.size());
-      for (size_t K = MD.Params.size(); K-- > 0;)
-        CallArgs[K] = popv();
-      std::string DispatchClass = Ref->ClassName;
-      if (Op != OP_invokestatic) {
-        Value Receiver = popv();
-        if (Receiver.isNull()) {
-          throwBuiltin(JvmErrorKind::NullPointerException,
-                       "java/lang/NullPointerException",
-                       "invoke on null receiver");
-          continue;
-        }
-        if (Op == OP_invokevirtual || Op == OP_invokeinterface)
-          DispatchClass = classOfRef(Receiver.R);
-        if (DispatchClass.size() > 0 && DispatchClass[0] == '[')
-          DispatchClass = "java/lang/Object"; // Array methods.
-        CallArgs.insert(CallArgs.begin(), Receiver);
-      }
-      if (Aborted)
-        return finish(false);
-
-      ResolvedMethod Resolved =
-          resolveMethod(DispatchClass, Ref->Name, Ref->Descriptor);
-      if (Aborted)
-        return finish(false);
-      if (!Resolved.Method && Op != OP_invokestatic)
-        Resolved = resolveMethod(Ref->ClassName, Ref->Name,
-                                 Ref->Descriptor);
-      if (Aborted)
-        return finish(false);
-      if (covBranch(Cov, exec_probes::id(exec_probes::MethodMissing),
-                    !Resolved.Method)) {
-        abort(CurrentPhase, JvmErrorKind::NoSuchMethodError,
-              Ref->ClassName + "." + Ref->Name + Ref->Descriptor);
-        return finish(false);
-      }
-      bool WantStatic = Op == OP_invokestatic;
-      if (covBranch(Cov,
-                    exec_probes::id(exec_probes::MethodStaticMismatch),
-                    Resolved.Method->isStatic() != WantStatic)) {
-        abort(CurrentPhase, JvmErrorKind::IncompatibleClassChangeError,
-              Ref->Name + " static-ness mismatch");
-        return finish(false);
-      }
-      if (!checkMemberAccess(LC.CF.ThisClass,
-                             Resolved.Holder->CF.ThisClass,
-                             Resolved.Method->AccessFlags, Ref->Name))
-        return finish(false);
-      if (WantStatic && !initializeClass(*Resolved.Holder))
-        return finish(false);
-      if (!ensureInvocable(*Resolved.Holder, *Resolved.Method))
-        return finish(false);
-
-      Value CallRet;
-      if (!invoke(*Resolved.Holder, *Resolved.Method,
-                  std::move(CallArgs), CallRet)) {
-        if (PendingException != 0)
-          continue; // Exception propagates; look for a handler here.
-        return finish(false);
-      }
-      if (MD.ReturnType.Kind != TypeKind::Void)
-        Stack.push_back(CallRet);
-      break;
-    }
-    default: {
-      // Remaining compact families handled by range.
-      if (Op >= OP_iconst_m1 && Op <= OP_iconst_5) {
-        Stack.push_back(Value::makeInt(static_cast<int32_t>(Op) -
-                                       static_cast<int32_t>(OP_iconst_0)));
-        break;
-      }
-      if (Op >= 0x0B && Op <= 0x0D) { // fconst
-        Stack.push_back(Value::makeFloat(Op - 0x0B));
-        break;
-      }
-      if (Op == 0x0E || Op == 0x0F) { // dconst
-        Stack.push_back(Value::makeDouble(Op - 0x0E));
-        break;
-      }
-      // Loads.
-      if (Op == OP_iload || Op == OP_lload || Op == OP_fload ||
-          Op == OP_dload || Op == OP_aload) {
-        size_t Slot = static_cast<size_t>(I.Operand1);
-        Stack.push_back(Slot < Locals.size() ? Locals[Slot] : Value());
-        break;
-      }
-      if (Op >= OP_iload_0 && Op <= OP_aload_3) { // all short-form loads
-        unsigned Slot = (Op - OP_iload_0) % 4;
-        Stack.push_back(Slot < Locals.size() ? Locals[Slot] : Value());
-        break;
-      }
-      // Stores.
-      if (Op == OP_istore || Op == OP_lstore || Op == OP_fstore ||
-          Op == OP_dstore || Op == OP_astore) {
-        size_t Slot = static_cast<size_t>(I.Operand1);
-        Value V = popv();
-        if (Slot < Locals.size())
-          Locals[Slot] = V;
-        break;
-      }
-      if (Op >= OP_istore_0 && Op <= OP_astore_3) {
-        unsigned Slot = (Op - OP_istore_0) % 4;
-        Value V = popv();
-        if (Slot < Locals.size())
-          Locals[Slot] = V;
-        break;
-      }
-      // Integer arithmetic.
-      if (Op == OP_iadd || Op == OP_isub || Op == OP_imul ||
-          Op == OP_idiv || Op == OP_irem || Op == OP_ishl ||
-          Op == OP_ishr || Op == 0x7C || Op == OP_iand || Op == OP_ior ||
-          Op == OP_ixor) {
-        Value B = popv(), A = popv();
-        int32_t X = A.asInt(), Y = B.asInt();
-        int32_t Out = 0;
-        if ((Op == OP_idiv || Op == OP_irem) && Y == 0) {
-          throwBuiltin(JvmErrorKind::ArithmeticException,
-                       "java/lang/ArithmeticException", "/ by zero");
-          continue;
-        }
-        switch (Op) {
-        case OP_iadd:
-          Out = static_cast<int32_t>(static_cast<uint32_t>(X) +
-                                     static_cast<uint32_t>(Y));
-          break;
-        case OP_isub:
-          Out = static_cast<int32_t>(static_cast<uint32_t>(X) -
-                                     static_cast<uint32_t>(Y));
-          break;
-        case OP_imul:
-          Out = static_cast<int32_t>(static_cast<uint32_t>(X) *
-                                     static_cast<uint32_t>(Y));
-          break;
-        case OP_idiv:
-          Out = (X == INT32_MIN && Y == -1) ? INT32_MIN : X / Y;
-          break;
-        case OP_irem:
-          Out = (X == INT32_MIN && Y == -1) ? 0 : X % Y;
-          break;
-        case OP_ishl:
-          Out = static_cast<int32_t>(static_cast<uint32_t>(X)
-                                     << (Y & 31));
-          break;
-        case OP_ishr:
-          Out = X >> (Y & 31);
-          break;
-        case 0x7C: // iushr
-          Out = static_cast<int32_t>(static_cast<uint32_t>(X) >> (Y & 31));
-          break;
-        case OP_iand:
-          Out = X & Y;
-          break;
-        case OP_ior:
-          Out = X | Y;
-          break;
-        case OP_ixor:
-          Out = X ^ Y;
-          break;
-        }
-        Stack.push_back(Value::makeInt(Out));
-        break;
-      }
-      if (Op == OP_ineg) {
-        Value A = popv();
-        Stack.push_back(Value::makeInt(-A.asInt()));
-        break;
-      }
-      // Conversions: coarse model preserving the scalar payload.
-      if (Op >= OP_i2l && Op <= 0x93) {
-        Value A = popv();
-        switch (Op) {
-        case OP_i2l:
-          Stack.push_back(Value::makeLong(A.asInt()));
-          break;
-        case 0x86: // i2f
-          Stack.push_back(Value::makeFloat(A.asInt()));
-          break;
-        case 0x87: // i2d
-          Stack.push_back(Value::makeDouble(A.asInt()));
-          break;
-        case 0x88: // l2i
-          Stack.push_back(Value::makeInt(static_cast<int32_t>(A.I)));
-          break;
-        case OP_i2b:
-          Stack.push_back(Value::makeInt(static_cast<int8_t>(A.asInt())));
-          break;
-        case 0x92: // i2c
-          Stack.push_back(
-              Value::makeInt(static_cast<uint16_t>(A.asInt())));
-          break;
-        case 0x93: // i2s
-          Stack.push_back(Value::makeInt(static_cast<int16_t>(A.asInt())));
-          break;
-        default:
-          // Other fp/long conversions: pass through payload coarsely.
-          Stack.push_back(A);
-          break;
-        }
-        break;
-      }
-      // Int comparisons / branches.
-      if (Op >= OP_ifeq && Op <= OP_ifle) {
-        int32_t V = popv().asInt();
-        bool Taken = false;
-        switch (Op) {
-        case OP_ifeq:
-          Taken = V == 0;
-          break;
-        case OP_ifne:
-          Taken = V != 0;
-          break;
-        case OP_iflt:
-          Taken = V < 0;
-          break;
-        case OP_ifge:
-          Taken = V >= 0;
-          break;
-        case OP_ifgt:
-          Taken = V > 0;
-          break;
-        case OP_ifle:
-          Taken = V <= 0;
-          break;
-        }
-        if (Taken)
-          NextPc = static_cast<uint32_t>(I.Operand1);
-        break;
-      }
-      if (Op >= OP_if_icmpeq && Op <= OP_if_icmple) {
-        int32_t B = popv().asInt();
-        int32_t A = popv().asInt();
-        bool Taken = false;
-        switch (Op) {
-        case OP_if_icmpeq:
-          Taken = A == B;
-          break;
-        case OP_if_icmpne:
-          Taken = A != B;
-          break;
-        case OP_if_icmplt:
-          Taken = A < B;
-          break;
-        case OP_if_icmpge:
-          Taken = A >= B;
-          break;
-        case OP_if_icmpgt:
-          Taken = A > B;
-          break;
-        case OP_if_icmple:
-          Taken = A <= B;
-          break;
-        }
-        if (Taken)
-          NextPc = static_cast<uint32_t>(I.Operand1);
-        break;
-      }
-      if (Op == OP_if_acmpeq || Op == OP_if_acmpne) {
-        Value B = popv(), A = popv();
-        bool Equal = A.R == B.R;
-        if ((Op == OP_if_acmpeq) == Equal)
-          NextPc = static_cast<uint32_t>(I.Operand1);
-        break;
-      }
-      if (Op == OP_ifnull || Op == OP_ifnonnull) {
-        Value V = popv();
-        if ((Op == OP_ifnull) == V.isNull())
-          NextPc = static_cast<uint32_t>(I.Operand1);
-        break;
-      }
-      if (Op == OP_tableswitch || Op == OP_lookupswitch) {
-        popv();
-        NextPc = static_cast<uint32_t>(I.Operand1); // Default target.
-        break;
-      }
-      abort(CurrentPhase, JvmErrorKind::InternalError,
-            "unsupported opcode at runtime: " + opcodeName(Op));
-      return finish(false);
-    }
-    }
-
-    if (Aborted)
-      return finish(false);
-    Pc = NextPc;
-  }
 }

@@ -142,12 +142,9 @@ struct JvmPolicy {
 
   // --- Execution tier (jvm/ExecEngine.h) -----------------------------------
   /// Which execution pipeline dispatches bytecode. A profile is
-  /// (policy × tier); all tiers are observably equivalent by contract,
+  /// (policy × tier); both tiers are observably equivalent by contract,
   /// and the tier-diff campaign mode cross-checks that contract.
   ExecTier Tier = ExecTier::Threaded;
-  /// Baseline tier only: how many compiled methods the code cache holds
-  /// before LRU eviction.
-  uint32_t JitCacheCapacity = 64;
   /// Baseline tier only: publish this Vm's jit.* counters to the global
   /// telemetry registry at teardown. Campaign tier batches disable
   /// this and publish only committed runs, at the commit stage.

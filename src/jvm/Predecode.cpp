@@ -3,6 +3,7 @@
 #include "jvm/Predecode.h"
 
 #include "classfile/Opcodes.h"
+#include "telemetry/Telemetry.h"
 
 using namespace classfuzz;
 
@@ -38,10 +39,10 @@ int32_t addClassSite(PredecodedMethod &PM, const ClassFile &CF,
   return static_cast<int32_t>(PM.ClassSites.size() - 1);
 }
 
-/// Maps one decoded instruction to its handler token and operands.
-/// Mirrors the switch interpreter's dispatch exactly, including which
-/// opcodes of a family are actually handled (e.g. iaload/aaload but not
-/// faload) -- anything the switch would reject lowers to H_Unsupported.
+/// Maps one decoded instruction to its handler token and operands,
+/// including which opcodes of a family are actually modeled (e.g.
+/// iaload/aaload but not faload) -- anything else lowers to
+/// H_Unsupported, which aborts when it executes.
 void lower(PredecodedMethod &PM, const ClassFile &CF, const Insn &I,
            PInsn &P) {
   uint8_t Op = I.Op;
@@ -160,7 +161,7 @@ void lower(PredecodedMethod &PM, const ClassFile &CF, const Insn &I,
     break;
   }
 
-  // The switch interpreter's default section, range by range.
+  // The opcode ranges, family by family.
   if (Op >= OP_iconst_m1 && Op <= OP_iconst_5) {
     P.Handler = H_IPush;
     P.A = static_cast<int32_t>(Op) - static_cast<int32_t>(OP_iconst_0);
@@ -255,6 +256,13 @@ bool takesBranchTarget(uint8_t H) {
 
 PredecodedMethod classfuzz::predecodeMethod(const ClassFile &CF,
                                             const MethodInfo &M) {
+  // Exact work counter: one per lowering. Each tier lowers a method at
+  // most once per Vm, so this counts distinct (Vm, method) pairs.
+  if (telemetry::enabled()) {
+    static telemetry::Counter &Predecoded =
+        telemetry::metrics().counter("work.methods_predecoded");
+    Predecoded.inc();
+  }
   PredecodedMethod PM;
   if (!M.Code)
     return PM;
@@ -268,8 +276,8 @@ PredecodedMethod classfuzz::predecodeMethod(const ClassFile &CF,
     Raw.push_back(I);
   }
   if (!Decoder.valid() || Raw.empty()) {
-    // Leaves Valid == false: tiers raise the same VerifyError the
-    // switch interpreter does when the per-invoke decode fails.
+    // Leaves Valid == false: the tier raises "malformed bytecode
+    // reached execution" when the method is invoked.
     PM.OffsetToIndex.clear();
     return PM;
   }

@@ -5,19 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pre-decoder lowers a method's bytecode once into a dense, cached
-/// instruction stream shared by the threaded and baseline tiers:
+/// The pre-decoder lowers a method's bytecode once per Vm into a dense,
+/// cached instruction stream shared by the threaded and baseline tiers
+/// (each call counts one `work.methods_predecoded`):
 ///
 ///  * one PInsn per instruction, in code order, with the opcode mapped
 ///    to a dense handler token;
 ///  * branch targets resolved from byte offsets to instruction indices
 ///    (an unresolvable target lowers to InvalidIndex, which the runtime
-///    turns into the same "execution fell off the code" VerifyError the
-///    switch interpreter raises);
+///    turns into an "execution fell off the code" VerifyError);
 ///  * constant-pool member/class references pre-fetched into side
 ///    tables, with resolution *errors* recorded but not raised -- every
-///    abort still happens at execution time, in the same order the
-///    switch interpreter would raise it.
+///    abort still happens at execution time, when the site runs.
 ///
 /// The lowering is purely syntactic: it never touches the class
 /// registry, the heap, or coverage, so a predecoded method can be cached
@@ -41,8 +40,7 @@ namespace classfuzz {
 
 /// Dense dispatch tokens. The threaded interpreter indexes its goto
 /// table with these; the baseline tier binds one thunk per token. Family
-/// handlers (H_IArith, H_Conv, ...) disambiguate on PInsn::Op exactly
-/// like the switch interpreter's range cases.
+/// handlers (H_IArith, H_Conv, ...) disambiguate on PInsn::Op.
 enum Handler : uint8_t {
   H_Nop,
   H_AconstNull,
@@ -90,8 +88,7 @@ enum Handler : uint8_t {
 };
 
 /// Instruction index marking "no valid target": jumping or falling
-/// through to it reproduces the switch interpreter's fell-off-the-code
-/// VerifyError.
+/// through to it raises the fell-off-the-code VerifyError.
 constexpr uint32_t InvalidInsnIndex = 0xFFFFFFFFu;
 
 /// One lowered instruction.
@@ -105,8 +102,8 @@ struct PInsn {
 };
 
 /// A pre-fetched constant-pool member reference (field or method site).
-/// Errors are deferred: the site records what the switch interpreter
-/// would abort with, and the tier raises it when the site executes.
+/// Errors are deferred: the site records what resolution failed with,
+/// and the tier raises it when the site executes.
 struct MemberSite {
   bool Ok = false;
   std::string Error; ///< getMemberRef failure message when !Ok.
@@ -124,8 +121,7 @@ struct ClassSite {
 /// The lowered form of one method, shared by all invocations.
 struct PredecodedMethod {
   /// False when the decoder rejected the bytecode; execution must abort
-  /// with the switch interpreter's "malformed bytecode reached
-  /// execution" VerifyError.
+  /// with the "malformed bytecode reached execution" VerifyError.
   bool Valid = false;
   std::vector<PInsn> Insns;
   std::vector<MemberSite> MemberSites;

@@ -5,9 +5,9 @@
 // supports it (GCC/Clang), dispatch is a computed goto straight from one
 // handler into the next -- the classic direct-threaded loop of ART's
 // interpreter_goto_table_impl.h; elsewhere a dense jump table over the
-// handler tokens is used. Either way the per-instruction work drops from
-// the switch tier's map-lookup-and-decode to an array index, which is
-// what the bench_micro_jvm tier gate (>= 2x) measures.
+// handler tokens is used. Either way each method is decoded once per Vm
+// (work.methods_predecoded counts it) and every later instruction costs
+// an array index.
 //
 //===----------------------------------------------------------------------===//
 
@@ -213,10 +213,8 @@ Ctl runThreaded(ExecContext &C) {
 
 } // namespace
 
-/// The threaded tier: one predecode per method, then token-threaded
-/// dispatch. No inline caches -- resolution runs the switch
-/// interpreter's slow path probe-for-probe, so this tier is the
-/// campaign default.
+/// The threaded tier, and the campaign default: one predecode per method,
+/// then token-threaded dispatch.
 class ThreadedEngine : public ExecEngine {
 public:
   explicit ThreadedEngine(Vm &VM) : ExecEngine(VM) {}
@@ -225,11 +223,11 @@ public:
 
   bool invoke(Vm::LoadedClass &LC, const MethodInfo &M,
               std::vector<Value> Args, Value &Ret) override {
-    auto Fetch = [&]() -> FetchedMethod {
+    auto Fetch = [&]() -> const PredecodedMethod & {
       auto It = Cache.find(&M);
       if (It == Cache.end())
         It = Cache.emplace(&M, predecodeMethod(LC.CF, M)).first;
-      return {&It->second, nullptr};
+      return It->second;
     };
     auto Dispatch = [](ExecContext &C) -> Ctl {
 #if CF_THREADED_GOTO

@@ -92,13 +92,13 @@ Value defaultValueFor(const std::string &Descriptor) {
   }
 }
 
-std::string packageOf(const std::string &InternalName) {
+} // namespace
+
+std::string Vm::packageOf(const std::string &InternalName) {
   size_t Slash = InternalName.rfind('/');
   return Slash == std::string::npos ? std::string()
                                     : InternalName.substr(0, Slash);
 }
-
-} // namespace
 
 void Vm::abort(JvmPhase Phase, JvmErrorKind Kind, std::string Message) {
   if (Aborted)

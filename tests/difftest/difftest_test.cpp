@@ -335,10 +335,11 @@ TEST(DiffTestTiers, TierDiffAppendsInterpAndBaselineProfiles) {
   EXPECT_EQ(Interp.Tier, ExecTier::Threaded);
   EXPECT_EQ(Base.Name, RefName + "~baseline");
   EXPECT_EQ(Base.Tier, ExecTier::Baseline);
-  // The tier profiles defer jit.* publication to the campaign commit
-  // stage so counters stay jobs-invariant.
-  EXPECT_FALSE(Interp.Policy.JitTelemetry);
-  EXPECT_FALSE(Base.Policy.JitTelemetry);
+  // No profile publishes jit.* counters: the campaign commit stage is
+  // their only source, so they stay jobs-invariant and count no
+  // difftest or reducer work.
+  for (const ProfileDesc &D : Tester.profiles())
+    EXPECT_FALSE(D.Policy.JitTelemetry) << D.Name;
   // The PolicyView keeps legacy policies() callers (report rendering,
   // replay output) printing tier-qualified names.
   EXPECT_EQ(Tester.policies()[5].Name, Interp.Name);
@@ -348,6 +349,25 @@ TEST(DiffTestTiers, TierDiffAppendsInterpAndBaselineProfiles) {
   ASSERT_EQ(O.Encoded.size(), 7u);
   EXPECT_EQ(O.encodedString(), "0000000");
   EXPECT_FALSE(O.TierDisagreement);
+}
+
+TEST(DiffTestTiers, BaselineTierTesterPublishesNoJitCounters) {
+  // The counters only count while telemetry is on.
+  telemetry::setEnabled(true);
+  Bytes Hello = serialize(makeHelloClass("Hello"));
+  auto Tester = DifferentialTester::withTieredProfiles(
+      corpusOf({{"Hello", Hello}}), EnvironmentMode::PerJvm,
+      ExecTier::Baseline, /*TierDiff=*/false);
+  for (const ProfileDesc &D : Tester.profiles()) {
+    EXPECT_EQ(D.Tier, ExecTier::Baseline) << D.Name;
+    EXPECT_FALSE(D.Policy.JitTelemetry) << D.Name;
+  }
+  telemetry::Counter &Compiles = telemetry::metrics().counter("jit.compiles");
+  const uint64_t Before = Compiles.value();
+  DiffOutcome O = Tester.testClass("Hello");
+  EXPECT_EQ(O.encodedString(), "00000");
+  EXPECT_EQ(Compiles.value(), Before);
+  telemetry::setEnabled(false);
 }
 
 TEST(DiffTestTiers, Figure2ClassKeepsTiersAgreeing) {

@@ -99,7 +99,7 @@ int usage(std::FILE *To) {
       "                    [--corpus-scale N]\n"
       "                    [--seed-sched uniform|rare|cluster]\n"
       "                    [--jobs N] [--out DIR] [--progress SECONDS]\n"
-      "                    [--tier switch|threaded|baseline] [--tier-diff]\n"
+      "                    [--tier threaded|baseline] [--tier-diff]\n"
       "                    [--incidents DIR] [--flightrec N] [--reduce]\n"
       "                    [--timeseries FILE] [--sample-every K]\n"
       "                    [--sample-filter PREFIXES] [--frontier FILE]\n"
@@ -111,7 +111,7 @@ int usage(std::FILE *To) {
       "                    [--trace-events FILE] [--trace-perfetto FILE]\n"
       "  classfuzz replay  BUNDLE_DIR\n"
       "  classfuzz run     FILE.class [--env jre5|jre7|jre8|jre9]\n"
-      "                    [--tier switch|threaded|baseline]\n"
+      "                    [--tier threaded|baseline]\n"
       "  classfuzz analyze FILE.class... [--print | --holes]\n"
       "                    [--env jre5|jre7|jre8|jre9]\n"
       "  classfuzz inspect FILE.class\n"
@@ -342,7 +342,7 @@ int cmdFuzz(int Argc, char **Argv) {
             "values",
             "1"},
            {"tier", "T",
-            "execution tier for every JVM run: switch|threaded|baseline",
+            "execution tier for every JVM run: threaded|baseline",
             "threaded"},
            {"tier-diff", "",
             "also run every produced mutant on the reference policy's "
@@ -478,7 +478,7 @@ int cmdFuzz(int Argc, char **Argv) {
   auto Tier = parseExecTier(A.get("tier"));
   if (!Tier) {
     std::fprintf(stderr,
-                 "unknown --tier %s (expected switch|threaded|baseline)\n",
+                 "unknown --tier %s (expected threaded|baseline)\n",
                  A.get("tier").c_str());
     return 2;
   }
@@ -934,7 +934,7 @@ int cmdRun(int Argc, char **Argv) {
                     "(default: per-JVM)",
                     ""},
                    {"tier", "T",
-                    "execution tier: switch|threaded|baseline",
+                    "execution tier: threaded|baseline",
                     "threaded"}}));
   int Exit = 0;
   if (!parseOrExit(A, Argc, Argv, Exit))
@@ -962,7 +962,7 @@ int cmdRun(int Argc, char **Argv) {
   auto RunTier = parseExecTier(A.get("tier"));
   if (!RunTier) {
     std::fprintf(stderr,
-                 "unknown --tier %s (expected switch|threaded|baseline)\n",
+                 "unknown --tier %s (expected threaded|baseline)\n",
                  A.get("tier").c_str());
     return 2;
   }
