@@ -112,6 +112,48 @@ void BM_TracefileFingerprint(benchmark::State &State) {
 }
 BENCHMARK(BM_TracefileFingerprint);
 
+/// One reference run's coverage lifecycle: construct a recorder, replay a
+/// duplicate-heavy probe stream, materialize the trace. The stream mimics
+/// a run's shape (a classfuzz[stbr] run averages ~300 probes over ~70
+/// distinct ids): hot per-opcode ids and a loop's branch site repeat,
+/// while line and parser-path ids of files 1-3 are hit a few times each.
+void BM_CoverageRecorder(benchmark::State &State) {
+  struct Probe {
+    uint32_t Id;
+    bool Branch;
+    bool Taken;
+  };
+  std::vector<Probe> Stream;
+  Rng R(5);
+  for (int64_t I = 0; I != State.range(0); ++I) {
+    switch (R.nextBelow(4)) {
+    case 0: // Execution loop: 24 hot opcodes of file 4.
+      Stream.push_back({(4u << 16) | 0x8000u | R.nextBelow(24), false, false});
+      break;
+    case 1: // Line probes of the format checker, verifier and Vm.
+      Stream.push_back(
+          {((1u + R.nextBelow(3)) << 16) | R.nextBelow(40) * 7, false, false});
+      break;
+    case 2: // Parser-path ids.
+      Stream.push_back({(3u << 16) | 0xE000u | R.nextBelow(16), false, false});
+      break;
+    default: // Branch sites, mostly one direction.
+      Stream.push_back({(2u << 16) | R.nextBelow(30) * 11, true,
+                        R.nextBelow(8) != 0});
+      break;
+    }
+  }
+  for (auto _ : State) {
+    CoverageRecorder Rec;
+    for (const Probe &P : Stream)
+      P.Branch ? Rec.branch(P.Id, P.Taken) : Rec.stmt(P.Id);
+    Tracefile T = Rec.takeTrace();
+    benchmark::DoNotOptimize(T.stmtCount());
+  }
+  State.SetItemsProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_CoverageRecorder)->Arg(300)->Arg(3000);
+
 ClassPath makeCorpus(size_t NumClasses) {
   ClassPath CP;
   for (size_t I = 0; I != NumClasses; ++I) {

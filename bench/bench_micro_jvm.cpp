@@ -83,7 +83,7 @@ void BM_FullStartupWithCoverage(benchmark::State &State) {
     CoverageRecorder Recorder;
     Vm Jvm(Policy, F.Env, &Recorder);
     JvmResult R = Jvm.run(F.Seed.Name);
-    benchmark::DoNotOptimize(Recorder.trace().stmtCount());
+    benchmark::DoNotOptimize(Recorder.takeTrace().stmtCount());
     benchmark::DoNotOptimize(R.Invoked);
   }
 }

@@ -12,6 +12,31 @@
 /// giving the same "which source statements / branch directions ran"
 /// signal at nanosecond cost.
 ///
+/// The full id layout. Every id is (file id << 16) | site; the site space
+/// of each file is split into the segments below, and each segment is a
+/// dense range of the CoverageRecorder bitmap (Tracefile.h, slotOf), so a
+/// probe costs one bit test. Branch probes store (id << 1 | taken).
+///
+/// | file | sites | what |
+/// |---|---|---|
+/// | 1 FormatChecker.cpp | 0x0000-0x1FFF | `__LINE__` probes |
+/// | 2 Verifier.cpp | 0x0000-0x1FFF | `__LINE__` probes |
+/// | | 0x8000-0x80FF | per-opcode dispatch (0x8000 \| opcode) |
+/// | | 0xA000-0xA0FF | field access: (type kind << 2) \| (array ? 2 : 0) \| (op & 1) |
+/// | | 0xB000-0xB1FF | invoke: (min(args, 7) << 6) \| (return kind << 2) \| (op & 3) |
+/// | | 0xC000-0xC0FF | type merge: (kind A << 4) \| kind B |
+/// | 3 Vm.cpp | 0x0000-0x1FFF | `__LINE__` probes |
+/// | | 0x4000-0x40FF | abort census: (error kind << 3) \| phase |
+/// | | 0xE000-0xE7FF | parser paths: 0xE0 cp tags, 0xE1 class flag bits, 0xE2/0xE3/0xE4 method/field/interface count buckets, 0xE5 method flag bits, 0xE6 Code / throws branches, 0xE7 field flag bits |
+/// | 4 Interp.cpp and the tiers | 0x0000-0x1FFF | `__LINE__` probes |
+/// | | 0x4000-0x40FF | named execution sites (jvm/ExecProbes.h) |
+/// | | 0x8000-0x80FF | per-opcode dispatch (jvm/ExecProbes.h) |
+///
+/// Any other id (a new file id, a site outside these segments, a
+/// hand-built id in tests) is still recorded exactly, through the
+/// recorder's ordered fallback set, at std::set cost. A new probe range
+/// belongs in this table and in CoverageRecorder::Segments.
+///
 /// Usage inside a class with a `CoverageRecorder *Cov` member:
 /// \code
 ///   CF_COV_FILE(3);
@@ -46,7 +71,8 @@ inline void covStmt(CoverageRecorder *Cov, uint32_t Id) {
 
 /// Declares this translation unit's probe namespace. \p Id must be unique
 /// across the jvm module: 1=FormatChecker, 2=Verifier, 3=Vm, 4=Interp
-/// (the execution tiers' named sites in jvm/ExecProbes.h share 4).
+/// (the execution tiers' named sites in jvm/ExecProbes.h share 4). Ids
+/// 1-4 are the recorder's dense files; see the layout table above.
 #define CF_COV_FILE(Id)                                                        \
   namespace {                                                                  \
   constexpr uint32_t CovFileId = (Id);                                         \

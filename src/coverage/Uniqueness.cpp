@@ -30,10 +30,10 @@ UniquenessChecker::signatureOf(const Tracefile &Trace) const {
   Signature Sig;
   Sig.Stats = {Trace.stmtCount(), Trace.branchCount()};
   // Only [tr] compares full hit sets; skip the O(|trace|) fingerprint
-  // walk and set copies for the statistic-only criteria.
+  // walk for the statistic-only criteria.
   if (Criterion == UniquenessCriterion::Tr) {
     Sig.Fingerprint = Fp ? Fp(Trace) : Trace.fingerprint();
-    Sig.Sets = {Trace.stmts(), Trace.branches()};
+    Sig.Trace = &Trace;
   }
   return Sig;
 }
@@ -55,8 +55,8 @@ bool UniquenessChecker::isUnique(const Signature &Sig) const {
     // filter, so break the tie on the stored ground-truth hit sets. A
     // candidate whose sets differ from every accepted one is a verified
     // 64-bit collision -- representative, not a duplicate.
-    for (const HitSets &Stored : FpIt->second)
-      if (Stored == Sig.Sets)
+    for (const Tracefile &Stored : FpIt->second)
+      if (Stored.sameSets(*Sig.Trace))
         return false;
     ++FpCollisions;
     if (telemetry::enabled())
@@ -83,13 +83,13 @@ void UniquenessChecker::insert(const Signature &Sig) {
     SeenStatPairs.insert(Sig.Stats);
     break;
   case UniquenessCriterion::Tr: {
-    std::vector<HitSets> &Bucket =
+    std::vector<Tracefile> &Bucket =
         SeenFingerprints[Sig.Stats][Sig.Fingerprint];
     bool Present = false;
-    for (const HitSets &Stored : Bucket)
-      Present |= Stored == Sig.Sets;
+    for (const Tracefile &Stored : Bucket)
+      Present |= Stored.sameSets(*Sig.Trace);
     if (!Present)
-      Bucket.push_back(Sig.Sets);
+      Bucket.push_back(*Sig.Trace);
     break;
   }
   case UniquenessCriterion::DdCoarse:
@@ -210,13 +210,7 @@ size_t DeltaDiversityChecker::profileSignatures(size_t ProfileIndex) const {
 // ---- AccumulativeCoverage -------------------------------------------------
 
 bool AccumulativeCoverage::addsNew(const Tracefile &Trace) const {
-  for (uint32_t Id : Trace.stmts())
-    if (!Total.stmts().count(Id))
-      return true;
-  for (uint32_t Id : Trace.branches())
-    if (!Total.branches().count(Id))
-      return true;
-  return false;
+  return !Total.covers(Trace);
 }
 
 bool AccumulativeCoverage::tryAdd(const Tracefile &Trace) {

@@ -110,16 +110,15 @@ public:
 
 private:
   using StatPair = std::pair<size_t, size_t>;
-  /// The ground truth behind a [tr] fingerprint: the full hit sets.
-  using HitSets = std::pair<std::set<uint32_t>, std::set<uint32_t>>;
 
   /// A candidate's identity under the configured criterion. The hit-set
-  /// fingerprint and set copies are only made for [tr], the only
-  /// criterion that reads them.
+  /// fingerprint is only computed for [tr], the only criterion that reads
+  /// it; the hit sets themselves stay in the candidate's trace and are
+  /// copied only when an insert keeps them.
   struct Signature {
     StatPair Stats;
     uint64_t Fingerprint = 0;
-    HitSets Sets;
+    const Tracefile *Trace = nullptr;
   };
   Signature signatureOf(const Tracefile &Trace) const;
   bool isUnique(const Signature &Sig) const;
@@ -133,10 +132,10 @@ private:
   mutable size_t FpCollisions = 0;
   std::set<size_t> SeenStmtCounts;
   std::set<StatPair> SeenStatPairs;
-  /// For [tr]: per statistic pair, fingerprint -> every accepted hit-set
-  /// pair hashing to it (almost always exactly one; more only under a
-  /// genuine 64-bit collision).
-  std::map<StatPair, std::map<uint64_t, std::vector<HitSets>>>
+  /// For [tr]: per statistic pair, fingerprint -> the hit sets of every
+  /// accepted trace hashing to it (almost always exactly one; more only
+  /// under a genuine 64-bit collision).
+  std::map<StatPair, std::map<uint64_t, std::vector<Tracefile>>>
       SeenFingerprints;
 };
 
@@ -231,8 +230,8 @@ class AccumulativeCoverage {
 public:
   /// True when \p Trace adds new coverage (without recording it).
   bool addsNew(const Tracefile &Trace) const;
-  /// Merges \p Trace into the accumulated totals.
-  void add(const Tracefile &Trace) { Total = Total.mergedWith(Trace); }
+  /// Merges \p Trace into the accumulated totals, in place.
+  void add(const Tracefile &Trace) { Total.merge(Trace); }
   /// Convenience: addsNew + add when new. Returns acceptance.
   bool tryAdd(const Tracefile &Trace);
 

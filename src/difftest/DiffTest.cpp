@@ -190,17 +190,18 @@ DiffOutcome DifferentialTester::runProfiles(
   DiffOutcome Out;
   Out.ClassName = Name;
   for (size_t I = 0; I != Profiles.size(); ++I) {
-    CoverageRecorder Recorder;
-    CoverageRecorder *Cov = CollectCoverage ? &Recorder : nullptr;
+    std::optional<CoverageRecorder> Recorder;
+    if (CollectCoverage)
+      Recorder.emplace();
     ClassPath Env = Envs[I]; // COW overlay: shares the frozen corpus.
     if (Entries[I])
       Env.add(Name, Entries[I]);
-    Vm Jvm(Profiles[I].Policy, Env, Cov);
+    Vm Jvm(Profiles[I].Policy, Env, Recorder ? &*Recorder : nullptr);
     JvmResult R = Jvm.run(Name);
     const int Code = encodePhase(R);
     Out.Results.push_back(std::move(R));
-    if (CollectCoverage)
-      Out.Traces.push_back(Recorder.takeTrace());
+    if (Recorder)
+      Out.Traces.push_back(Recorder->takeTrace());
     if (Flight &&
         Out.Results.back().Error == JvmErrorKind::InternalError)
       Out.FlightEvents.push_back(

@@ -41,7 +41,7 @@ bool classfuzz::parseSeedSchedPolicy(const std::string &Text,
 
 void SeedScheduler::addEntry(const Tracefile &Trace) {
   PendingEntry E;
-  E.Branches.assign(Trace.branches().begin(), Trace.branches().end());
+  E.Branches = Trace.branches();
   E.Fingerprint = Trace.fingerprint();
   Pending.push_back(std::move(E));
   Scores.push_back(0);

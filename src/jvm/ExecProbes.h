@@ -12,10 +12,17 @@
 /// survive edits to the source: the cross-tier suite pins them per input in
 /// tests/golden/exec_tiers.jsonl (line-numbered ids move whenever a line does,
 /// so it does not hash those), and the δ-diversity tuples depend on the tiers
-/// agreeing. Sites live in 0x4000..0x40FF, disjoint from real line numbers
-/// (< 0x2000 in practice), from the per-opcode dispatch space
-/// (0x8000 | opcode), and from Vm.cpp's abort census space (0x4000 in
-/// file 3, not file 4).
+/// agreeing.
+///
+/// File 4's id layout (every file's is in coverage/Probes.h):
+///   - 0x0000..0x1FFF: `__LINE__` probes of Interp.cpp (real line numbers
+///     stay below 0x2000);
+///   - 0x4000..0x40FF: the named Site values below (Vm.cpp's abort census
+///     uses the same site range in file 3, so the ids differ);
+///   - 0x8000..0x80FF: the per-opcode dispatch probe, opcodeId().
+/// Each range is a dense segment of the CoverageRecorder bitmap, so the
+/// per-instruction opcodeId() probe is one bit test; a site added outside
+/// them still records exactly, through the recorder's slower fallback.
 ///
 //===----------------------------------------------------------------------===//
 

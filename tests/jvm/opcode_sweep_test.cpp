@@ -88,6 +88,19 @@ const BinCase BinaryCases[] = {
     {OP_iand, 0b1100, 0b1010, 0b1000},
     {OP_ior, 0b1100, 0b1010, 0b1110},
     {OP_ixor, 0b1100, 0b1010, 0b0110},
+    // Shift counts are masked to exactly 5 bits: counts 16-31 tell a
+    // 5-bit mask from a 4-bit one, counts >= 48 from a 6-bit one (or none).
+    {OP_ishl, 1, 16, 65536},
+    {OP_ishl, 1, 31, INT32_MIN},
+    {OP_ishl, 3, 48, 3 << 16},
+    {OP_ishl, 1, -1, INT32_MIN}, // -1 & 31 = 31.
+    {OP_ishr, INT32_MIN, 16, -32768},
+    {OP_ishr, INT32_MIN, 31, -1},
+    {OP_ishr, 0x40000000, 50, 4096},
+    {0x7C /*iushr*/, -1, 16, 0xFFFF},
+    {0x7C /*iushr*/, -1, 31, 1},
+    {0x7C /*iushr*/, INT32_MIN, 63, 1},
+    {0x7C /*iushr*/, -8, 48, 0xFFFF},
 };
 
 INSTANTIATE_TEST_SUITE_P(AllIntBinary, BinaryOps,
