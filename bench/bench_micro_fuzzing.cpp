@@ -125,21 +125,24 @@ void BM_CoverageRecorder(benchmark::State &State) {
   };
   std::vector<Probe> Stream;
   Rng R(5);
+  auto Below = [&](uint64_t Bound) {
+    return static_cast<uint32_t>(R.nextBelow(Bound));
+  };
   for (int64_t I = 0; I != State.range(0); ++I) {
     switch (R.nextBelow(4)) {
     case 0: // Execution loop: 24 hot opcodes of file 4.
-      Stream.push_back({(4u << 16) | 0x8000u | R.nextBelow(24), false, false});
+      Stream.push_back({(4u << 16) | 0x8000u | Below(24), false, false});
       break;
-    case 1: // Line probes of the format checker, verifier and Vm.
-      Stream.push_back(
-          {((1u + R.nextBelow(3)) << 16) | R.nextBelow(40) * 7, false, false});
+    case 1: { // Line probes of the format checker, verifier and Vm.
+      uint32_t File = 1 + Below(3);
+      Stream.push_back({(File << 16) | Below(40) * 7, false, false});
       break;
+    }
     case 2: // Parser-path ids.
-      Stream.push_back({(3u << 16) | 0xE000u | R.nextBelow(16), false, false});
+      Stream.push_back({(3u << 16) | 0xE000u | Below(16), false, false});
       break;
     default: // Branch sites, mostly one direction.
-      Stream.push_back({(2u << 16) | R.nextBelow(30) * 11, true,
-                        R.nextBelow(8) != 0});
+      Stream.push_back({(2u << 16) | Below(30) * 11, true, Below(8) != 0});
       break;
     }
   }

@@ -17,20 +17,28 @@
 /// dense range of the CoverageRecorder bitmap (Tracefile.h, slotOf), so a
 /// probe costs one bit test. Branch probes store (id << 1 | taken).
 ///
-/// | file | sites | what |
-/// |---|---|---|
-/// | 1 FormatChecker.cpp | 0x0000-0x1FFF | `__LINE__` probes |
-/// | 2 Verifier.cpp | 0x0000-0x1FFF | `__LINE__` probes |
-/// | | 0x8000-0x80FF | per-opcode dispatch (0x8000 \| opcode) |
-/// | | 0xA000-0xA0FF | field access: (type kind << 2) \| (array ? 2 : 0) \| (op & 1) |
-/// | | 0xB000-0xB1FF | invoke: (min(args, 7) << 6) \| (return kind << 2) \| (op & 3) |
-/// | | 0xC000-0xC0FF | type merge: (kind A << 4) \| kind B |
-/// | 3 Vm.cpp | 0x0000-0x1FFF | `__LINE__` probes |
-/// | | 0x4000-0x40FF | abort census: (error kind << 3) \| phase |
-/// | | 0xE000-0xE7FF | parser paths: 0xE0 cp tags, 0xE1 class flag bits, 0xE2/0xE3/0xE4 method/field/interface count buckets, 0xE5 method flag bits, 0xE6 Code / throws branches, 0xE7 field flag bits |
-/// | 4 Interp.cpp and the tiers | 0x0000-0x1FFF | `__LINE__` probes |
-/// | | 0x4000-0x40FF | named execution sites (jvm/ExecProbes.h) |
-/// | | 0x8000-0x80FF | per-opcode dispatch (jvm/ExecProbes.h) |
+///   file 1, FormatChecker.cpp
+///     0x0000-0x1FFF  `__LINE__` probes
+///   file 2, Verifier.cpp
+///     0x0000-0x1FFF  `__LINE__` probes
+///     0x8000-0x80FF  per-opcode dispatch: 0x8000 | opcode
+///     0xA000-0xA0FF  field access: (type kind << 2) | (array ? 2 : 0)
+///                    | (op & 1)
+///     0xB000-0xB1FF  invoke: (min(args, 7) << 6) | (return kind << 2)
+///                    | (op & 3)
+///     0xC000-0xC0FF  type merge: (kind A << 4) | kind B
+///   file 3, Vm.cpp
+///     0x0000-0x1FFF  `__LINE__` probes
+///     0x4000-0x40FF  abort census: (error kind << 3) | phase
+///     0xE000-0xE7FF  parser paths: 0xE0xx constant-pool tags, 0xE1xx
+///                    class flag bits, 0xE2xx/0xE3xx/0xE4xx method/field/
+///                    interface count buckets, 0xE5xx method flag bits,
+///                    0xE600/0xE601 Code and throws branches, 0xE7xx
+///                    field flag bits
+///   file 4, Interp.cpp and the execution tiers (jvm/ExecProbes.h)
+///     0x0000-0x1FFF  `__LINE__` probes
+///     0x4000-0x40FF  named execution sites
+///     0x8000-0x80FF  per-opcode dispatch: 0x8000 | opcode
 ///
 /// Any other id (a new file id, a site outside these segments, a
 /// hand-built id in tests) is still recorded exactly, through the

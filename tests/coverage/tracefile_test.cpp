@@ -29,10 +29,16 @@ void *operator new(std::size_t Size) {
   throw std::bad_alloc();
 }
 void *operator new[](std::size_t Size) { return ::operator new(Size); }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+// Not inlined: inlined into a delete-expression, the free() would look to
+// GCC like a mismatched deallocation (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete[](void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
+[[gnu::noinline]] void operator delete[](void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 TEST(Tracefile, CountsDistinctStatements) {
   Tracefile T;
