@@ -126,6 +126,8 @@ public:
   void branch(uint32_t SiteId, bool Taken) {
     ++Probes;
     uint32_t Id = Tracefile::branchId(SiteId, Taken);
+    // Slot from the stored id, not SiteId (the shift drops a site's top
+    // bit), so cleanScratch can find the bit again from the id alone.
     uint32_t Site = slotOf(Id >> 1);
     if (Site == NoSlot)
       return recordFallback(Id, /*Branch=*/true);
